@@ -120,13 +120,21 @@ cargo test -q --features fault-injection
 echo "==> fault-injection stress iteration (RUST_BACKTRACE=1)"
 RUST_BACKTRACE=1 cargo test -q --features fault-injection --test fault_injection
 
-echo "==> work-stealing differential suite (workers 1 and 4 vs Sequential)"
-# The determinism matrix and proptest differentials pin WorkStealing(1) and
-# WorkStealing(4) — byte-identical results, budget truncation and fault
-# quarantine included; any divergence fails the run.
+echo "==> one-driver differential suite (every ParallelMode vs Sequential)"
+# Every mode runs the one level-synchronous driver; the determinism matrix
+# and proptest differentials pin StaticQueues(k) and WorkStealing(k)
+# against Sequential — byte-identical results, budget truncation and fault
+# quarantine included, no steal under StaticQueues; any divergence fails
+# the run.
 cargo test -q --test parallel_determinism
 cargo test -q --test property_based workstealing
 cargo test -q --test property_based sample
+
+echo "==> e2ebench self-test (real pipeline, answers and kernel counts)"
+# The end-to-end benchmark's smoke tests run `ocdd profile`'s pipeline
+# under Sequential and WorkStealing(2) and gate the answer, the check and
+# per-level candidate counts and the sort/scan kernel counts exactly.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "==> checkpoint/resume crash smoke (SIGKILL + ocdd --resume)"
 # A real child process is SIGKILLed mid-search and resumed from its newest

@@ -5,8 +5,7 @@
 //!   refinement is our optional optimization.
 //! * **candidate dedup** — a candidate has up to two parents; deduplication
 //!   trades a hash set for duplicate checks.
-//! * **scheduling** — the paper's static per-branch queues vs rayon
-//!   work-stealing.
+//! * **scheduling** — sequential vs the paper's static per-branch queues.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocdd_core::{discover, DiscoveryConfig, ParallelMode};
@@ -73,7 +72,6 @@ fn bench_scheduling(c: &mut Criterion) {
     for (name, mode) in [
         ("sequential", ParallelMode::Sequential),
         ("static_queues_4(paper)", ParallelMode::StaticQueues(4)),
-        ("rayon_4", ParallelMode::Rayon(4)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -142,38 +140,6 @@ fn bench_checker_backends(c: &mut Criterion) {
     group.bench_function("sorted_partitions(s5.3.1)", |b| {
         b.iter(|| {
             let mut checker = PartitionChecker::new(&rel);
-            for (x, y) in &workload {
-                bb(checker.check_od(x, y));
-            }
-        })
-    });
-    // Shared-cache variants: the second pass simulates a sibling worker
-    // arriving after the cache is warm.
-    group.bench_function("prefix_cache_shared_warm", |b| {
-        use ocdd_core::SharedPrefixCache;
-        use std::sync::Arc;
-        let shared = Arc::new(SharedPrefixCache::<Vec<u32>>::new(256 << 20));
-        let mut warm = SortCache::with_shared(&rel, Arc::clone(&shared));
-        for (x, y) in &workload {
-            bb(warm.check_od(x, y));
-        }
-        b.iter(|| {
-            let mut cache = SortCache::with_shared(&rel, Arc::clone(&shared));
-            for (x, y) in &workload {
-                bb(cache.check_od(x, y));
-            }
-        })
-    });
-    group.bench_function("sorted_partitions_shared_warm", |b| {
-        use ocdd_core::SharedPrefixCache;
-        use std::sync::Arc;
-        let shared = Arc::new(SharedPrefixCache::new(256 << 20));
-        let mut warm = PartitionChecker::with_shared(&rel, Arc::clone(&shared));
-        for (x, y) in &workload {
-            bb(warm.check_od(x, y));
-        }
-        b.iter(|| {
-            let mut checker = PartitionChecker::with_shared(&rel, Arc::clone(&shared));
             for (x, y) in &workload {
                 bb(checker.check_od(x, y));
             }

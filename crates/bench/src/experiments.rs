@@ -472,7 +472,7 @@ pub fn run_fig7(opts: &ExpOptions) -> Report {
 ///   (the optimization §5.3.1 leaves out of scope);
 /// * per-level candidate dedup on vs off;
 /// * column reduction on vs off;
-/// * sequential vs static queues vs rayon scheduling.
+/// * sequential vs static queues scheduling.
 pub fn run_ablation(opts: &ExpOptions) -> Report {
     let mut report = Report::new(
         "Ablations — design-choice measurements",
@@ -560,16 +560,6 @@ pub fn run_ablation(opts: &ExpOptions) -> Report {
             &rel,
             &DiscoveryConfig {
                 mode: ParallelMode::StaticQueues(4),
-                ..base.clone()
-            },
-            &mut report,
-        );
-        run(
-            "rayon ×4",
-            ds,
-            &rel,
-            &DiscoveryConfig {
-                mode: ParallelMode::Rayon(4),
                 ..base.clone()
             },
             &mut report,

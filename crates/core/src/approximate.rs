@@ -41,8 +41,8 @@
 //!   (approximate ODs are not downward closed), and the rejection itself
 //!   errs on the side of pruning only clearly-bad candidates.
 //! * **Borderline** — the interval straddles ε: the candidate is
-//!   *escalated* to a full-data check, batched onto the work-stealing
-//!   scheduler with the blockwise scan kernels and epoch prefix caches
+//!   *escalated* to a full-data check, batched by prefix over the search
+//!   driver's workers with the blockwise scan kernels and epoch prefix caches
 //!   (`crate::search::run_escalations`). A full-data-exact OCD lets the
 //!   OD directions reuse the fused split-only `check_od_after_ocd` scan
 //!   instead of a fresh error decomposition.
@@ -415,7 +415,7 @@ pub fn triage(estimate: f64, half_width: f64, epsilon: f64) -> Triage {
 #[derive(Debug, Clone)]
 pub struct ApproxConfig {
     /// The underlying discovery configuration (budget, level cap, mode —
-    /// escalations parallelize under `ParallelMode::WorkStealing`,
+    /// escalations run on the mode's workers, with stealing;
     /// checker/cache knobs are honored by the escalation checkers).
     pub base: DiscoveryConfig,
     /// Target sample size; `None` (or any value ≥ the relation's rows)

@@ -20,7 +20,7 @@
 //! ones. Worst case is `O(m log m + m·|Y|)` comparisons for `m` rows.
 
 use crate::deps::AttrList;
-use crate::shared_cache::{EpochPrefixCache, EpochSnapshot, SharedPrefixCache};
+use crate::shared_cache::{EpochPrefixCache, EpochSnapshot};
 use ocdd_relation::scan;
 use ocdd_relation::sort::{cmp_rows, refine_index, sort_index_by};
 use ocdd_relation::{ColumnId, Relation};
@@ -176,13 +176,12 @@ pub fn check_ocd(rel: &Relation, x: &AttrList, y: &AttrList) -> CheckOutcome {
 /// off by default and measured by the ablation bench.
 ///
 /// The store is either worker-private (a plain `HashMap`, unbounded) or a
-/// run-wide [`SharedPrefixCache`] ([`SortCache::with_shared`]): in the
-/// parallel modes the shared tier lets workers reuse each other's sorted
-/// prefixes and bounds memory to the configured byte budget.
+/// run-wide [`EpochPrefixCache`] ([`SortCache::with_epoch`]): the shared
+/// tier lets workers reuse each other's sorted prefixes from the next level
+/// on and bounds memory to the configured byte budget.
 pub struct SortCache<'r> {
     rel: &'r Relation,
     cache: HashMap<Vec<ColumnId>, Arc<Vec<u32>>>,
-    shared: Option<Arc<SharedPrefixCache<Vec<u32>>>>,
     epoch: Option<EpochTier<Vec<u32>>>,
     /// Number of cache hits (full or prefix), for ablation reporting.
     pub hits: u64,
@@ -277,23 +276,6 @@ impl<'r> SortCache<'r> {
         SortCache {
             rel,
             cache: HashMap::new(),
-            shared: None,
-            epoch: None,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Create a cache backed by a run-wide shared store. The private map
-    /// is not used: every index lives in (and is evicted from) `shared`.
-    pub fn with_shared(
-        rel: &'r Relation,
-        shared: Arc<SharedPrefixCache<Vec<u32>>>,
-    ) -> SortCache<'r> {
-        SortCache {
-            rel,
-            cache: HashMap::new(),
-            shared: Some(shared),
             epoch: None,
             hits: 0,
             misses: 0,
@@ -303,20 +285,19 @@ impl<'r> SortCache<'r> {
     /// Create a cache backed by an epoch-published shared store
     /// ([`EpochPrefixCache`]): reads go to an immutable snapshot (no lock
     /// per check), inserts are buffered locally until
-    /// [`SortCache::publish_pending`]. Used by the work-stealing mode.
+    /// [`SortCache::publish_pending`]. Used by every mode's shared cache.
     pub fn with_epoch(rel: &'r Relation, cache: Arc<EpochPrefixCache<Vec<u32>>>) -> SortCache<'r> {
         SortCache {
             rel,
             cache: HashMap::new(),
-            shared: None,
             epoch: Some(EpochTier::new(cache)),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Refresh the epoch snapshot at a level boundary. No-op for the
-    /// private and lock-striped modes.
+    /// Refresh the epoch snapshot at a level boundary. No-op for a
+    /// worker-private cache.
     pub fn begin_level(&mut self) {
         if let Some(tier) = &mut self.epoch {
             tier.begin_level();
@@ -324,7 +305,7 @@ impl<'r> SortCache<'r> {
     }
 
     /// Publish locally-buffered indexes and flush lookup counters to the
-    /// epoch cache. No-op for the private and lock-striped modes.
+    /// epoch cache. No-op for a worker-private cache.
     pub fn publish_pending(&mut self) {
         if let Some(tier) = &mut self.epoch {
             tier.publish(self.hits, self.misses);
@@ -350,24 +331,6 @@ impl<'r> SortCache<'r> {
                 }
             };
             tier.buffer(cols.to_vec(), Arc::clone(&index));
-            return index;
-        }
-        if let Some(shared) = &self.shared {
-            if let Some(idx) = shared.get(cols) {
-                self.hits += 1;
-                return idx;
-            }
-            let index = match shared.longest_prefix(cols) {
-                Some((len, base)) => {
-                    self.hits += 1;
-                    Arc::new(refine_index(self.rel, &base, &cols[..len], &cols[len..]))
-                }
-                None => {
-                    self.misses += 1;
-                    Arc::new(sort_index_by(self.rel, cols))
-                }
-            };
-            shared.insert(cols.to_vec(), Arc::clone(&index));
             return index;
         }
         if let Some(idx) = self.cache.get(cols) {
@@ -618,33 +581,6 @@ mod tests {
             );
         }
         assert!(cache.hits >= 1, "prefix reuse expected");
-    }
-
-    #[test]
-    fn shared_sort_cache_agrees_with_uncached() {
-        let r = rel(&[
-            ("a", &[3, 1, 4, 1, 5, 9, 2, 6]),
-            ("b", &[2, 7, 1, 8, 2, 8, 1, 8]),
-            ("c", &[1, 1, 2, 2, 3, 3, 4, 4]),
-        ]);
-        let shared = Arc::new(SharedPrefixCache::new(1 << 20));
-        let mut one = SortCache::with_shared(&r, Arc::clone(&shared));
-        let mut two = SortCache::with_shared(&r, Arc::clone(&shared));
-        let lists = [
-            (l(&[0]), l(&[1])),
-            (l(&[0, 1]), l(&[2])),
-            (l(&[0, 2]), l(&[1])),
-            (l(&[2, 0]), l(&[1])),
-        ];
-        for (x, y) in &lists {
-            assert_eq!(one.check_od(x, y), check_od(&r, x, y));
-        }
-        // The second worker reuses everything the first one built.
-        for (x, y) in &lists {
-            assert_eq!(two.check_od(x, y), check_od(&r, x, y));
-        }
-        assert_eq!(two.misses, 0, "all prefixes were already shared");
-        assert!(shared.stats().hits > 0);
     }
 
     #[test]

@@ -5,31 +5,43 @@ use crate::snapshot::CheckpointPolicy;
 use std::time::Duration;
 
 /// How the candidate tree is traversed (§4.2.2).
+///
+/// Every mode runs the same level-synchronous driver: each BFS level's
+/// candidates are grouped into batches by their shared sort-key prefix
+/// (the `X` of the single OCD check `XY → YX`), so the prefix index is
+/// materialized once per batch and refined per candidate, and the batches
+/// are dealt to the mode's workers ([`crate::scheduler`]). The modes differ
+/// only in the worker count and the deal, so results are byte-identical
+/// across them. With `shared_cache` the workers read an epoch-published
+/// immutable cache snapshot and buffer inserts locally, publishing between
+/// levels — no lock on the check hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Single-threaded breadth-first search (Algorithm 1 as written).
+    /// One worker on the calling thread (Algorithm 1 as written).
     #[default]
     Sequential,
     /// The paper's parallelization: the level-2 branches are partitioned
-    /// round-robin into `k` queues and each queue's subtree is explored by
-    /// its own thread. A candidate belongs to exactly one level-2 branch
-    /// (its seed pair is the pair of first attributes of its two sides), so
-    /// subtrees never exchange work.
+    /// round-robin into `k` queues, and every batch of a branch's subtree
+    /// runs on that branch's queue, with no stealing. A candidate belongs
+    /// to exactly one level-2 branch (its seed pair is the pair of first
+    /// attributes of its two sides), so subtrees never exchange work.
+    /// Unlike the paper's threads, the workers meet at a barrier after
+    /// every level.
     StaticQueues(usize),
-    /// Work-stealing alternative: each BFS level is processed by a rayon
-    /// pool of `k` threads. Better load balance when branches are skewed;
-    /// measured against `StaticQueues` by the ablation bench.
-    Rayon(usize),
-    /// Level-synchronous batch scheduler: each level's candidates are
-    /// grouped into batches by their shared sort-key prefix (the `X` of
-    /// the single OCD check `XY → YX`), so the prefix index is
-    /// materialized once per batch and refined per candidate. Batches are
-    /// executed by `k` workers over work-stealing deques
-    /// ([`crate::scheduler`]); with `shared_cache` the workers read an
-    /// epoch-published immutable cache snapshot and buffer inserts
-    /// locally, publishing between levels — no lock on the check hot
-    /// path. Results are byte-identical to every other mode.
+    /// Work stealing: each level's batches are dealt round-robin over `k`
+    /// workers, and a worker that runs dry steals from another's deque.
+    /// Better load balance when branches are skewed.
     WorkStealing(usize),
+}
+
+impl ParallelMode {
+    /// Worker threads the mode runs (at least 1).
+    pub(crate) fn workers(self) -> usize {
+        match self {
+            ParallelMode::Sequential => 1,
+            ParallelMode::StaticQueues(k) | ParallelMode::WorkStealing(k) => k.max(1),
+        }
+    }
 }
 
 /// How candidate checks are executed.
@@ -69,9 +81,10 @@ pub struct DiscoveryConfig {
     /// No effect under [`CheckerBackend::Resort`], which caches nothing by
     /// definition.
     pub shared_cache: bool,
-    /// Byte budget of the shared cache: above it, least-recently-used
-    /// entries are evicted (and recomputed on demand if needed again).
-    /// Ignored unless `shared_cache` is set.
+    /// Byte budget of the shared cache, enforced when the workers publish
+    /// at a level boundary: above it, the oldest insertions are evicted
+    /// (and recomputed on demand if needed again). Ignored unless
+    /// `shared_cache` is set.
     pub cache_budget_bytes: usize,
     /// Run the column-reduction preprocessing (§4.1). On by default;
     /// disabling it is only useful for ablation.
@@ -121,20 +134,6 @@ impl Default for DiscoveryConfig {
     }
 }
 
-impl DiscoveryConfig {
-    /// Convenience constructor for an `n`-thread static-queue run.
-    pub fn with_threads(n: usize) -> DiscoveryConfig {
-        DiscoveryConfig {
-            mode: if n <= 1 {
-                ParallelMode::Sequential
-            } else {
-                ParallelMode::StaticQueues(n)
-            },
-            ..DiscoveryConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,14 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_one_is_sequential() {
-        assert_eq!(
-            DiscoveryConfig::with_threads(1).mode,
-            ParallelMode::Sequential
-        );
-        assert_eq!(
-            DiscoveryConfig::with_threads(4).mode,
-            ParallelMode::StaticQueues(4)
-        );
+    fn every_mode_has_at_least_one_worker() {
+        assert_eq!(ParallelMode::Sequential.workers(), 1);
+        assert_eq!(ParallelMode::StaticQueues(0).workers(), 1);
+        assert_eq!(ParallelMode::WorkStealing(4).workers(), 4);
     }
 }

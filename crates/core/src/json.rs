@@ -19,8 +19,8 @@
 //! `cancelled` / `worker_failure`); `complete` is kept as the derived
 //! boolean. A `worker_failure` run additionally carries
 //! `"failed_branches": [[colA, colB], ...]` (quarantined level-2 branch
-//! seed pairs, as column names) and `"failure_message"`. A `WorkStealing`
-//! run carries `"scheduler": {"batches", "levels", "steals", "workers":
+//! seed pairs, as column names) and `"failure_message"`. A `StaticQueues`
+//! or `WorkStealing` run (not a `Sequential` one) carries `"scheduler": {"batches", "levels", "steals", "workers":
 //! [{"batches", "steals"}, ...]}` — scheduling observability, not part of
 //! the deterministic result. Every run carries `"kernels": {"sorts":
 //! {"counting", "packed_radix", "chained_refine", "comparator"},

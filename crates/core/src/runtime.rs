@@ -1,6 +1,7 @@
 //! Run-control primitives shared by every discovery entry point:
 //! cooperative cancellation, the amortized check/time budget, typed
-//! termination reasons, and the (test/feature-gated) fault-injection plan.
+//! termination reasons, the scoped worker pool (`run_workers`), and the
+//! (test/feature-gated) fault-injection plan.
 //!
 //! The paper's evaluation reports **partial results** when a run exceeds
 //! its 5-hour threshold (§5.1, Table 6 footnote). This module generalizes
@@ -205,7 +206,7 @@ impl Budget {
     }
 
     /// Immediate (non-amortized) stop-condition poll, consulted once per
-    /// batch by the work-stealing scheduler: batch boundaries are rare
+    /// batch by the search driver's workers: batch boundaries are rare
     /// enough that the vDSO call is free, and polling here bounds the
     /// cancellation latency by one batch instead of one
     /// [`DEADLINE_CHECK_INTERVAL`] window. Returns false once the run must
@@ -375,6 +376,63 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Run `work(w, &mut states[w])` once per worker state and return each
+/// worker's output in worker order, or its panic message if it died.
+///
+/// A single worker runs inline on the calling thread (no spawn, no extra
+/// stack); more run on one scoped thread each. This is the only worker
+/// pool of the crate: the search driver, the escalation wave and the
+/// column reduction all fan out through it.
+pub(crate) fn run_workers<S, T, F>(states: &mut [S], work: F) -> Vec<Result<T, String>>
+where
+    S: Send,
+    T: Send,
+    F: Fn(usize, &mut S) -> T + Sync,
+{
+    if let [only] = states {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0, only)));
+        return vec![outcome.map_err(|payload| panic_message(payload.as_ref()))];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = states
+            .iter_mut()
+            .enumerate()
+            .map(|(w, state)| scope.spawn(move || work(w, state)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .map_err(|payload| panic_message(payload.as_ref()))
+            })
+            .collect()
+    })
+}
+
+/// Map `f` over `items` on up to `threads` workers, each taking one
+/// contiguous chunk, and return the results in input order — identical to
+/// `items.iter().map(f).collect()` at any thread count. A chunk whose
+/// worker died is recomputed on the calling thread.
+pub(crate) fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let chunk = items.len().div_ceil(threads.max(1)).max(1);
+    let mut chunks: Vec<&[T]> = items.chunks(chunk).collect();
+    let outputs = run_workers(&mut chunks, |_, part| {
+        part.iter().map(&f).collect::<Vec<R>>()
+    });
+    chunks
+        .iter()
+        .zip(outputs)
+        .flat_map(|(part, output)| output.unwrap_or_else(|_| part.iter().map(&f).collect()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,6 +554,37 @@ mod tests {
         assert_eq!(panic_message(boxed.as_ref()), "owned");
         let boxed: Box<dyn std::any::Any + Send> = Box::new(42u32);
         assert_eq!(panic_message(boxed.as_ref()), "opaque panic payload");
+    }
+
+    #[test]
+    fn run_workers_reports_each_worker_in_order() {
+        for workers in [1usize, 3] {
+            let mut states: Vec<usize> = (0..workers).collect();
+            let out = run_workers(&mut states, |w, s| {
+                *s += 10;
+                if w == 1 {
+                    panic!("worker {w} dies");
+                }
+                w
+            });
+            assert_eq!(out.len(), workers);
+            assert_eq!(out[0], Ok(0));
+            if workers == 3 {
+                assert_eq!(out[1], Err("worker 1 dies".to_owned()));
+                assert_eq!(out[2], Ok(2));
+            }
+            assert!(states.iter().enumerate().all(|(w, &s)| s == w + 10));
+        }
+    }
+
+    #[test]
+    fn par_map_preserves_input_order_at_any_thread_count() {
+        let items: Vec<u32> = (0..23).collect();
+        let expected: Vec<u32> = items.iter().map(|x| x * x).collect();
+        for threads in [0, 1, 2, 4, 23, 40] {
+            assert_eq!(par_map(&items, threads, |x| x * x), expected, "{threads}");
+        }
+        assert!(par_map(&[] as &[u32], 3, |x| *x).is_empty());
     }
 
     #[test]

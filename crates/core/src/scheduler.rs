@@ -1,27 +1,32 @@
-//! Work-stealing batch scheduler for the level-synchronous search mode
-//! ([`crate::config::ParallelMode::WorkStealing`]).
+//! Batch scheduler of the level-synchronous search driver
+//! (`search::run_levels`), shared by every [`crate::config::ParallelMode`].
 //!
 //! The unit of scheduling is a **batch**: all candidates of one BFS level
 //! that share the same sort-key prefix (the `X` of the single OCD check
-//! `XY → YX`, Theorem 4.1). Batches are dealt round-robin onto one deque
-//! per worker in canonical level order; a worker pops from the *front* of
-//! its own deque (preserving the canonical order it was dealt) and, when
-//! empty, steals from the *back* of a victim's deque — the classic
-//! Chase–Lev discipline, hand-rolled over mutexes because the workspace is
-//! dependency-free. Each deque's mutex is touched once per batch (tens of
-//! checks), never per check, so contention is off the hot path by
-//! construction.
+//! `XY → YX`, Theorem 4.1). Batches are dealt onto one deque per worker in
+//! canonical level order; a worker pops from the *front* of its own deque
+//! (preserving the canonical order it was dealt). Two deals exist:
+//!
+//! * **work stealing** (`Sequential`, `WorkStealing`) — batch `b` goes to
+//!   worker `b % k`, and a worker whose deque is empty steals from the
+//!   *back* of a victim's deque — the classic Chase–Lev discipline,
+//!   hand-rolled over mutexes because the workspace is dependency-free;
+//! * **static queues** (`StaticQueues`, the paper's §4.2.2) — the caller
+//!   names each batch's owner (its level-2 branch's seed index mod `k`)
+//!   and nobody steals, so a branch's whole subtree stays on one worker.
+//!
+//! Each deque's mutex is touched once per batch (tens of checks), never
+//! per check, so contention is off the hot path by construction.
 //!
 //! Scheduling is *not* part of the result: batches are executed
 //! speculatively and the driver re-imposes canonical candidate order (and
-//! replays the per-branch check allowances) in an input-ordered post-filter
-//! — see `search::run_workstealing_levels`. Steal counts are surfaced in
-//! [`SchedulerStats`] purely as observability.
+//! replays the per-branch check allowances) in an input-ordered post-filter.
+//! Steal counts are surfaced in [`SchedulerStats`] purely as observability.
 
 use crate::sync_shim::Mutex;
 use std::collections::VecDeque;
 
-/// Per-worker scheduling counters of a work-stealing run.
+/// Per-worker scheduling counters of a parallel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerSchedStats {
     /// Batches this worker executed (own + stolen).
@@ -31,7 +36,8 @@ pub struct WorkerSchedStats {
 }
 
 /// Run-level scheduling counters, reported in
-/// [`crate::DiscoveryResult::scheduler`] for work-stealing runs.
+/// [`crate::DiscoveryResult::scheduler`] for `StaticQueues` and
+/// `WorkStealing` runs (`Sequential` reports none).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Total prefix-grouped batches formed across all levels.
@@ -53,6 +59,8 @@ impl SchedulerStats {
 /// level; `pop` is the only operation after construction.
 pub(crate) struct StealQueues {
     queues: Vec<Mutex<VecDeque<usize>>>,
+    /// Whether a worker with an empty deque may take a victim's batches.
+    steal: bool,
 }
 
 /// The queues hold plain `usize` batch indexes and the critical sections
@@ -66,25 +74,37 @@ fn recover<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
 impl StealQueues {
     /// Deal `batches` batch indexes round-robin across `workers` deques:
     /// batch `b` lands at the back of deque `b % workers`, so each deque
-    /// holds its share in canonical level order.
+    /// holds its share in canonical level order. Idle workers steal.
     pub(crate) fn new(workers: usize, batches: usize) -> StealQueues {
         let workers = workers.max(1);
+        StealQueues::dealt(workers, (0..batches).map(|b| b % workers), true)
+    }
+
+    /// Deal batch `b` to deque `owners[b] % workers`, in batch order, with
+    /// stealing on or off.
+    pub(crate) fn dealt(
+        workers: usize,
+        owners: impl IntoIterator<Item = usize>,
+        steal: bool,
+    ) -> StealQueues {
+        let workers = workers.max(1);
         let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        // lint: allow(unprobed-loop, round-robin seeding, one push per level batch)
-        for b in 0..batches {
-            if let Some(q) = queues.get_mut(b % workers) {
+        // lint: allow(unprobed-loop, deal pass, one push per level batch)
+        for (b, owner) in owners.into_iter().enumerate() {
+            if let Some(q) = queues.get_mut(owner % workers) {
                 q.push_back(b);
             }
         }
         StealQueues {
             queues: queues.into_iter().map(Mutex::new).collect(),
+            steal,
         }
     }
 
-    /// Next batch for `worker`: front of its own deque, else the back of
-    /// the first non-empty victim deque (scanning cyclically from
-    /// `worker + 1`). Returns the batch index and whether it was stolen;
-    /// `None` when every deque is empty.
+    /// Next batch for `worker`: front of its own deque, else (when stealing
+    /// is on) the back of the first non-empty victim deque, scanning
+    /// cyclically from `worker + 1`. Returns the batch index and whether it
+    /// was stolen; `None` when there is nothing left for `worker`.
     pub(crate) fn pop(&self, worker: usize) -> Option<(usize, bool)> {
         if let Some(b) = self
             .queues
@@ -92,6 +112,9 @@ impl StealQueues {
             .and_then(|q| recover(q.lock()).pop_front())
         {
             return Some((b, false));
+        }
+        if !self.steal {
+            return None;
         }
         let n = self.queues.len();
         // lint: allow(unprobed-loop, victim scan bounded by the worker count; callers poll the budget at batch boundaries)
@@ -177,6 +200,18 @@ mod tests {
         assert_eq!(q.pop(1), Some((3, false)));
         assert_eq!(q.pop(0), Some((4, false)));
         assert_eq!(q.pop(0), None);
+        assert_eq!(q.pop(1), None);
+    }
+
+    #[test]
+    fn static_deal_follows_the_owners_and_never_steals() {
+        // Owners 1, 1, 0, 3 over two workers: worker 1 owns batches 0, 1, 3.
+        let q = StealQueues::dealt(2, [1, 1, 0, 3], false);
+        assert_eq!(q.pop(0), Some((2, false)));
+        assert_eq!(q.pop(0), None, "an idle worker does not steal");
+        assert_eq!(q.pop(1), Some((0, false)));
+        assert_eq!(q.pop(1), Some((1, false)));
+        assert_eq!(q.pop(1), Some((3, false)));
         assert_eq!(q.pop(1), None);
     }
 

@@ -9,43 +9,46 @@
 //! the extensions of its left side (Theorem 3.9); an invalid direction
 //! spawns children `XA ~ Y` (resp. `X ~ YA`) for every unused attribute `A`.
 //!
-//! Four execution modes implement the same traversal; see
-//! [`crate::config::ParallelMode`]. Results are canonically sorted so all
-//! modes return identical output. The `WorkStealing` mode additionally
-//! groups each level's candidates into **prefix batches** (one batch per
-//! distinct `X` side, the shared sort-key prefix of the level's `XY → YX`
-//! checks) and schedules the batches over work-stealing deques
-//! ([`crate::scheduler`]); its shared cache is epoch-published
-//! ([`crate::shared_cache::EpochPrefixCache`]) so no lock is taken on the
-//! check hot path.
+//! Every execution mode ([`crate::config::ParallelMode`]) runs one
+//! level-synchronous driver: each level's candidates are grouped into
+//! **prefix batches** (one batch per distinct `X` side, the shared sort-key
+//! prefix of the level's `XY → YX` checks), the batches are dealt to the
+//! mode's workers ([`crate::scheduler`]) and executed speculatively, and an
+//! input-ordered post-filter replays the results in canonical candidate
+//! order. `Sequential` is one worker on the calling thread, `WorkStealing`
+//! deals round-robin with stealing, and `StaticQueues` keys its batches per
+//! level-2 branch and deals each branch to one worker, without stealing.
+//! Results are canonically sorted, so all modes return identical output.
+//! The shared cache is epoch-published
+//! ([`crate::shared_cache::EpochPrefixCache`]) at level boundaries, so no
+//! lock is taken on the check hot path.
 //!
 //! ## Failure and budget semantics
 //!
 //! The unit of both distribution *and* degradation is the level-2 branch
 //! (the pair of first attributes; a candidate never leaves its branch).
-//! Each branch runs inside `catch_unwind`: a panicking check quarantines
-//! only that branch — its partial results are discarded, the surviving
-//! branches merge normally, and the run reports
+//! Each candidate runs inside `catch_unwind`: a panicking check
+//! quarantines only its branch — the branch's results are discarded, the
+//! surviving branches merge normally, and the run reports
 //! [`TerminationReason::WorkerFailure`] instead of crashing.
 //!
 //! `max_checks` is enforced through deterministic **per-branch
 //! allowances**: the budget left after reduction is split evenly over the
 //! branches in canonical seed order, and each branch stops on its own
-//! account. Because a branch's traversal order is identical in every
-//! execution mode, a budget-truncated run returns byte-identical partial
-//! results under `Sequential`, `StaticQueues`, and `Rayon`. (The old
-//! global counter stopped whichever worker raced past it first.) The
-//! wall-clock budget and cancellation remain global and amortized — those
-//! are inherently timing-dependent.
+//! account. Because the post-filter replays a branch's candidates in the
+//! same order in every execution mode, a budget-truncated run returns
+//! byte-identical partial results under every mode. The wall-clock budget
+//! and cancellation remain global and amortized — those are inherently
+//! timing-dependent.
 
 use crate::check::{check_ocd, check_od_after_ocd, SortCache};
 use crate::config::{CheckerBackend, DiscoveryConfig, ParallelMode};
 use crate::deps::{AttrList, Ocd, Od};
 use crate::reduction::{columns_reduction, Reduction};
 use crate::results::{DiscoveryResult, LevelStats};
-use crate::runtime::{panic_message, Budget, StopCause, TerminationReason};
+use crate::runtime::{panic_message, run_workers, Budget, StopCause, TerminationReason};
 use crate::scheduler::{SchedulerStats, StealQueues, WorkerSchedStats};
-use crate::shared_cache::{CacheStats, EpochPrefixCache, SharedPrefixCache};
+use crate::shared_cache::{CacheStats, CacheWeight, EpochPrefixCache};
 use crate::snapshot::{
     CandidatePair, CheckpointRecorder, SearchSnapshot, SnapshotBranch, SnapshotError,
     SnapshotFailure, SNAPSHOT_VERSION,
@@ -53,9 +56,10 @@ use crate::snapshot::{
 use crate::sorted_partitions::{PartitionChecker, SortedPartition};
 use ocdd_relation::sort::kernel_stats;
 use ocdd_relation::{ColumnId, Relation};
-use rayon::prelude::*;
 use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -106,75 +110,33 @@ struct Emission {
     generated: u64,
 }
 
-impl Emission {
-    /// Reset for reuse across candidates, keeping the vector capacities.
-    fn clear(&mut self) {
-        self.ocds.clear();
-        self.ods.clear();
-        self.children.clear();
-        self.checks = 0;
-        self.generated = 0;
-    }
+/// The run-wide epoch-published prefix cache, when enabled: one slot per
+/// backend kind (only the configured backend's slot is populated). Cloned
+/// `Arc`s are handed to every worker's [`Checker`]; workers read the
+/// level's immutable snapshot lock-free and buffer inserts locally, and the
+/// driver publishes between levels.
+struct SharedCaches {
+    sort: Option<Arc<EpochPrefixCache<Vec<u32>>>>,
+    parts: Option<Arc<EpochPrefixCache<SortedPartition>>>,
 }
 
-/// The run-wide shared prefix caches, when enabled: one per backend kind
-/// (only the configured backend's slot is populated). Cloned `Arc`s are
-/// handed to every worker's [`Checker`].
-struct SharedCaches {
-    sort: Option<Arc<SharedPrefixCache<Vec<u32>>>>,
-    parts: Option<Arc<SharedPrefixCache<SortedPartition>>>,
-    /// Epoch-published (read-mostly) variants, used by `WorkStealing` mode:
-    /// workers read an immutable snapshot lock-free and buffer inserts
-    /// locally; the driver publishes between levels.
-    sort_epoch: Option<Arc<EpochPrefixCache<Vec<u32>>>>,
-    parts_epoch: Option<Arc<EpochPrefixCache<SortedPartition>>>,
+/// A fresh epoch cache with the run's byte budget (and fault plan).
+fn epoch_cache<V: CacheWeight>(config: &DiscoveryConfig) -> Arc<EpochPrefixCache<V>> {
+    #[allow(unused_mut)]
+    let mut cache = EpochPrefixCache::new(config.cache_budget_bytes);
+    #[cfg(any(test, feature = "fault-injection"))]
+    cache.set_fault_plan(config.fault.clone());
+    Arc::new(cache)
 }
 
 impl SharedCaches {
     fn from_config(config: &DiscoveryConfig) -> SharedCaches {
-        let mut caches = SharedCaches {
-            sort: None,
-            parts: None,
-            sort_epoch: None,
-            parts_epoch: None,
-        };
-        if !config.shared_cache {
-            return caches;
+        let enabled = |backend| config.shared_cache && config.checker == backend;
+        // Resort caches nothing by definition, so it never gets a slot.
+        SharedCaches {
+            sort: enabled(CheckerBackend::PrefixCache).then(|| epoch_cache(config)),
+            parts: enabled(CheckerBackend::SortedPartitions).then(|| epoch_cache(config)),
         }
-        let epoch = matches!(config.mode, ParallelMode::WorkStealing(_));
-        match config.checker {
-            // Resort caches nothing by definition.
-            CheckerBackend::Resort => {}
-            CheckerBackend::PrefixCache if epoch => {
-                #[allow(unused_mut)]
-                let mut cache = EpochPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.sort_epoch = Some(Arc::new(cache));
-            }
-            CheckerBackend::PrefixCache => {
-                #[allow(unused_mut)]
-                let mut cache = SharedPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.sort = Some(Arc::new(cache));
-            }
-            CheckerBackend::SortedPartitions if epoch => {
-                #[allow(unused_mut)]
-                let mut cache = EpochPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.parts_epoch = Some(Arc::new(cache));
-            }
-            CheckerBackend::SortedPartitions => {
-                #[allow(unused_mut)]
-                let mut cache = SharedPrefixCache::new(config.cache_budget_bytes);
-                #[cfg(any(test, feature = "fault-injection"))]
-                cache.set_fault_plan(config.fault.clone());
-                caches.parts = Some(Arc::new(cache));
-            }
-        }
-        caches
     }
 
     fn stats(&self) -> Option<CacheStats> {
@@ -182,8 +144,6 @@ impl SharedCaches {
             .as_ref()
             .map(|c| c.stats())
             .or_else(|| self.parts.as_ref().map(|c| c.stats()))
-            .or_else(|| self.sort_epoch.as_ref().map(|c| c.stats()))
-            .or_else(|| self.parts_epoch.as_ref().map(|c| c.stats()))
     }
 }
 
@@ -208,20 +168,16 @@ impl<'r> Checker<'r> {
     fn new(rel: &'r Relation, config: &DiscoveryConfig, shared: &SharedCaches) -> Checker<'r> {
         let backend = match config.checker {
             CheckerBackend::Resort => CheckerBackendState::Plain(rel),
-            CheckerBackend::PrefixCache => {
-                CheckerBackendState::Cached(match (&shared.sort_epoch, &shared.sort) {
-                    (Some(cache), _) => SortCache::with_epoch(rel, Arc::clone(cache)),
-                    (None, Some(cache)) => SortCache::with_shared(rel, Arc::clone(cache)),
-                    (None, None) => SortCache::new(rel),
-                })
+            CheckerBackend::PrefixCache => CheckerBackendState::Cached(match &shared.sort {
+                Some(cache) => SortCache::with_epoch(rel, Arc::clone(cache)),
+                None => SortCache::new(rel),
+            }),
+            CheckerBackend::SortedPartitions => {
+                CheckerBackendState::Partitions(Box::new(match &shared.parts {
+                    Some(cache) => PartitionChecker::with_epoch(rel, Arc::clone(cache)),
+                    None => PartitionChecker::new(rel),
+                }))
             }
-            CheckerBackend::SortedPartitions => CheckerBackendState::Partitions(Box::new(
-                match (&shared.parts_epoch, &shared.parts) {
-                    (Some(cache), _) => PartitionChecker::with_epoch(rel, Arc::clone(cache)),
-                    (None, Some(cache)) => PartitionChecker::with_shared(rel, Arc::clone(cache)),
-                    (None, None) => PartitionChecker::new(rel),
-                },
-            )),
         };
         Checker {
             backend,
@@ -258,8 +214,8 @@ impl<'r> Checker<'r> {
         }
     }
 
-    /// Refresh the epoch-cache snapshot at a level boundary (no-op for the
-    /// other cache tiers).
+    /// Refresh the epoch-cache snapshot at a level boundary (no-op without
+    /// a shared cache).
     fn begin_level(&mut self) {
         match &mut self.backend {
             CheckerBackendState::Plain(_) => {}
@@ -269,8 +225,8 @@ impl<'r> Checker<'r> {
     }
 
     /// Hand this worker's buffered epoch-cache inserts to the shared cache
-    /// (no-op for the other cache tiers). Called by the driver between
-    /// levels, in worker order, so publish epochs are deterministic.
+    /// (no-op without one). Called by the driver between levels, in worker
+    /// order, so publish epochs are deterministic.
     fn publish_pending(&mut self) {
         match &mut self.backend {
             CheckerBackendState::Plain(_) => {}
@@ -386,75 +342,6 @@ fn branch_allowances(max_checks: Option<u64>, already_spent: u64, branches: usiz
     }
 }
 
-/// A subtree traversal used by the branch-sequential modes: BFS over
-/// `seeds` until the tree is exhausted, the branch allowance is spent, or
-/// the global budget (time / cancellation) stops the run. Accumulates into
-/// `acc`.
-#[allow(clippy::too_many_arguments)]
-fn run_subtree(
-    universe: &[ColumnId],
-    seeds: Vec<Candidate>,
-    config: &DiscoveryConfig,
-    budget: &Budget,
-    checker: &mut Checker<'_>,
-    allowance: u64,
-    acc: &mut SearchAccumulator,
-) {
-    let mut spent = 0u64;
-    let mut level = seeds;
-    // Reused across candidates and levels: `em` keeps its vector
-    // capacities, `next` swaps with `level` so the old level's allocation
-    // backs the next one.
-    let mut next: Vec<Candidate> = Vec::new();
-    let mut em = Emission::default();
-    let mut level_no = 2usize;
-    while !level.is_empty() {
-        if config.max_level.is_some_and(|max| level_no > max) {
-            acc.level_capped = true;
-            break;
-        }
-        let mut stats = LevelStats {
-            level: level_no,
-            ..LevelStats::default()
-        };
-        for cand in &level {
-            if spent >= allowance {
-                // Pre-check: the branch's share of `max_checks` is gone.
-                acc.levels.push(stats);
-                acc.check_budget_hit = true;
-                return;
-            }
-            #[cfg(any(test, feature = "fault-injection"))]
-            if let Some(plan) = &config.fault {
-                plan.before_candidate(cand.branch());
-            }
-            em.clear();
-            process_candidate(universe, cand, checker, &mut em);
-            stats.candidates += 1;
-            stats.valid_ocds += em.ocds.len() as u64;
-            stats.valid_ods += em.ods.len() as u64;
-            acc.ocds.append(&mut em.ocds);
-            acc.ods.append(&mut em.ods);
-            acc.generated += em.generated;
-            next.append(&mut em.children);
-            spent += em.checks;
-            budget.record(em.checks);
-            if !budget.probe() {
-                // Time budget or cancellation: stop where we are.
-                acc.levels.push(stats);
-                return;
-            }
-        }
-        acc.levels.push(stats);
-        if config.dedup_candidates {
-            dedup_level(&mut next);
-        }
-        std::mem::swap(&mut level, &mut next);
-        next.clear();
-        level_no += 1;
-    }
-}
-
 /// Mutable state shared by a traversal.
 #[derive(Debug, Default)]
 struct SearchAccumulator {
@@ -468,27 +355,6 @@ struct SearchAccumulator {
     check_budget_hit: bool,
 }
 
-impl SearchAccumulator {
-    fn merge(&mut self, other: SearchAccumulator) {
-        self.ocds.extend(other.ocds);
-        self.ods.extend(other.ods);
-        self.generated += other.generated;
-        self.level_capped |= other.level_capped;
-        self.check_budget_hit |= other.check_budget_hit;
-        // lint: allow(unprobed-loop, stats fold bounded by the number of search levels)
-        for stat in other.levels {
-            match self.levels.iter_mut().find(|s| s.level == stat.level) {
-                Some(mine) => {
-                    mine.candidates += stat.candidates;
-                    mine.valid_ocds += stat.valid_ocds;
-                    mine.valid_ods += stat.valid_ods;
-                }
-                None => self.levels.push(stat),
-            }
-        }
-    }
-}
-
 /// One quarantined level-2 branch.
 #[derive(Debug, Clone)]
 struct BranchFailure {
@@ -496,69 +362,19 @@ struct BranchFailure {
     message: String,
 }
 
-/// Run a queue of `(seed, allowance)` branches sequentially, isolating
-/// each branch behind `catch_unwind`. A panicking branch loses its partial
-/// accumulator (the quarantine: its results may be inconsistent) and is
-/// recorded as a [`BranchFailure`]; the checker is rebuilt afterwards so a
-/// possibly half-updated private cache cannot leak into later branches.
-/// Used directly by `Sequential` mode and by every `StaticQueues` worker.
-fn run_queue(
-    rel: &Relation,
-    universe: &[ColumnId],
-    queue: Vec<(Candidate, u64)>,
-    config: &DiscoveryConfig,
-    budget: &Budget,
-    shared: &SharedCaches,
-) -> (SearchAccumulator, Vec<BranchFailure>) {
-    let mut acc = SearchAccumulator::default();
-    let mut failures = Vec::new();
-    let mut checker = Checker::new(rel, config, shared);
-    for (seed, allowance) in queue {
-        if budget.is_stopped() {
-            break;
-        }
-        let branch = seed.branch();
-        // UnwindSafe: `budget` and the shared caches are atomics/poison-
-        // recovering mutexes; `checker` is the one piece of state a panic
-        // can leave inconsistent, and it is rebuilt below on failure.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut local = SearchAccumulator::default();
-            run_subtree(
-                universe,
-                vec![seed],
-                config,
-                budget,
-                &mut checker,
-                allowance,
-                &mut local,
-            );
-            local
-        }));
-        match outcome {
-            Ok(local) => acc.merge(local),
-            Err(payload) => {
-                failures.push(BranchFailure {
-                    branch,
-                    message: panic_message(payload.as_ref()),
-                });
-                checker = Checker::new(rel, config, shared);
-            }
-        }
-    }
-    (acc, failures)
-}
-
-/// Per-branch bookkeeping for the speculative level drivers (`Rayon`,
-/// `WorkStealing`).
+/// Per-branch bookkeeping of the level driver.
 struct BranchState {
+    /// Position of the branch's seed in canonical seed order; a
+    /// `StaticQueues(k)` run deals the branch to worker `seed % k`.
+    seed: usize,
     allowance: u64,
     spent: u64,
     stopped: bool,
     failed: bool,
 }
 
-/// What speculatively processing one candidate produced under a
-/// level-synchronous driver (`Rayon`, `WorkStealing`).
+/// What speculatively processing one candidate produced under the level
+/// driver.
 enum SpecOutcome {
     /// The global budget had already stopped the run.
     Skipped,
@@ -568,32 +384,14 @@ enum SpecOutcome {
     Panicked(String),
 }
 
-/// Seed the per-branch bookkeeping of a speculative level driver.
-fn branch_states(queue: &[(Candidate, u64)]) -> HashMap<(ColumnId, ColumnId), BranchState> {
-    queue
-        .iter()
-        .map(|(seed, allowance)| {
-            (
-                seed.branch(),
-                BranchState {
-                    allowance: *allowance,
-                    spent: 0,
-                    stopped: false,
-                    failed: false,
-                },
-            )
-        })
-        .collect()
-}
-
-/// The input-ordered post-filter shared by the speculative level drivers:
-/// walk the level's outcomes in candidate order, replay the per-branch
-/// allowance accounting, quarantine panicked branches, and assemble the
-/// next level into the reused `next` buffer. Because a branch's candidates
-/// appear within each level in branch-local BFS order, every branch is
-/// truncated at exactly the candidate the branch-sequential modes would —
-/// speculative work past that point is dropped, keeping results and
-/// `checks` byte-identical across modes.
+/// The input-ordered post-filter of the level driver: walk the level's
+/// outcomes in candidate order, replay the per-branch allowance
+/// accounting, quarantine panicked branches, and assemble the next level
+/// into the reused `next` buffer. Because a branch's candidates appear
+/// within each level in branch-local BFS order, every branch is truncated
+/// at exactly the candidate a branch-by-branch traversal would stop at,
+/// whatever the schedule — speculative work past that point is dropped,
+/// keeping results and `checks` byte-identical across modes.
 #[allow(clippy::too_many_arguments)]
 fn absorb_level_outcomes(
     level: &[Candidate],
@@ -613,8 +411,7 @@ fn absorb_level_outcomes(
         ..LevelStats::default()
     };
     // (branch, children) in candidate order; flattened after the pass so a
-    // branch stopping mid-level drops *all* its level children, exactly as
-    // `run_subtree`'s early return does.
+    // branch stopping mid-level drops *all* its level children.
     next_parts.clear();
     // lint: allow(unprobed-loop, one bookkeeping pass over the level's outcomes; the checks themselves ran under per-batch budget polls)
     for (cand, outcome) in level.iter().zip(outcomes) {
@@ -669,11 +466,11 @@ fn absorb_level_outcomes(
     }
 }
 
-/// Position of a level-synchronous driver in the search: the per-branch
-/// allowance bookkeeping plus the current frontier. Built either from the
-/// level-2 seed queue (fresh run) or from a [`SearchSnapshot`] (resume) —
-/// the two are indistinguishable to the drivers, which is exactly what
-/// makes `resume == uninterrupted` hold.
+/// Position of the level driver in the search: the per-branch allowance
+/// bookkeeping plus the current frontier. Built either from the level-2
+/// seed queue (fresh run) or from a [`SearchSnapshot`] (resume) — the two
+/// are indistinguishable to the driver, which is exactly what makes
+/// `resume == uninterrupted` hold.
 struct LevelCursor {
     states: HashMap<(ColumnId, ColumnId), BranchState>,
     level: Vec<Candidate>,
@@ -682,8 +479,21 @@ struct LevelCursor {
 
 impl LevelCursor {
     fn from_queue(queue: Vec<(Candidate, u64)>) -> LevelCursor {
-        let states = branch_states(&queue);
-        let level = queue.into_iter().map(|(seed, _)| seed).collect();
+        let states = queue
+            .iter()
+            .enumerate()
+            .map(|(seed, (cand, allowance))| {
+                let state = BranchState {
+                    seed,
+                    allowance: *allowance,
+                    spent: 0,
+                    stopped: false,
+                    failed: false,
+                };
+                (cand.branch(), state)
+            })
+            .collect();
+        let level = queue.into_iter().map(|(cand, _)| cand).collect();
         LevelCursor {
             states,
             level,
@@ -692,13 +502,16 @@ impl LevelCursor {
     }
 
     fn from_snapshot(snap: &SearchSnapshot) -> LevelCursor {
+        // Dumps list the branches sorted, i.e. in canonical seed order.
         let states = snap
             .branches
             .iter()
-            .map(|b| {
+            .enumerate()
+            .map(|(seed, b)| {
                 (
                     b.branch,
                     BranchState {
+                        seed,
                         allowance: b.allowance,
                         spent: b.spent,
                         stopped: b.stopped,
@@ -792,211 +605,27 @@ fn record_checkpoint(
     rec.write_boundary(snap);
 }
 
-/// Level-synchronous sequential driver, used by `Sequential` (and
-/// `StaticQueues`, which has no global frontier to dump) whenever a
-/// checkpoint recorder is installed or a run is resumed. One checker
-/// processes the whole level in candidate order and the outcomes go
-/// through the same input-ordered post-filter as the parallel drivers
-/// ([`absorb_level_outcomes`]) — which is the existing proof that its
-/// results are byte-identical to `run_queue`'s depth-first-by-branch
-/// traversal. Candidate panics are isolated exactly as in the `Rayon`
-/// driver: caught per candidate, the possibly-inconsistent checker
-/// rebuilt, the branch quarantined by the post-filter.
-#[allow(clippy::too_many_arguments)]
-fn run_sequential_levels(
-    rel: &Relation,
-    universe: &[ColumnId],
-    cursor: LevelCursor,
-    config: &DiscoveryConfig,
-    budget: &Budget,
-    shared: &SharedCaches,
-    acc: &mut SearchAccumulator,
-    failures: &mut Vec<BranchFailure>,
-    mut recorder: Option<&mut CheckpointRecorder>,
-) {
-    let LevelCursor {
-        mut states,
-        mut level,
-        mut level_no,
-    } = cursor;
-    let mut next: Vec<Candidate> = Vec::new();
-    let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
-    let mut checker = Checker::new(rel, config, shared);
-    // Initial boundary: a kill at any point during the first level already
-    // has a resume point.
-    if let Some(rec) = recorder.as_deref_mut() {
-        record_checkpoint(
-            rec, level_no, &level, &states, acc, failures, budget, shared,
-        );
-    }
-    while !level.is_empty() && !budget.is_stopped() {
-        if config.max_level.is_some_and(|max| level_no > max) {
-            acc.level_capped = true;
-            break;
-        }
-        checker.begin_level();
-        let mut results: Vec<SpecOutcome> = Vec::with_capacity(level.len());
-        for cand in &level {
-            let skip = budget.is_stopped()
-                || states
-                    .get(&cand.branch())
-                    .is_none_or(|s| s.stopped || s.failed);
-            if skip {
-                // The post-filter ignores the outcome of a stopped or
-                // failed branch, so the check can be elided entirely.
-                results.push(SpecOutcome::Skipped);
-                continue;
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(any(test, feature = "fault-injection"))]
-                if let Some(plan) = &config.fault {
-                    plan.before_candidate(cand.branch());
-                }
-                let mut em = Emission::default();
-                process_candidate(universe, cand, &mut checker, &mut em);
-                em
-            }));
-            match outcome {
-                Ok(em) => {
-                    budget.probe();
-                    results.push(SpecOutcome::Done(em));
-                }
-                Err(payload) => {
-                    // Quarantine the possibly-inconsistent checker state
-                    // before the next candidate.
-                    checker = Checker::new(rel, config, shared);
-                    checker.begin_level();
-                    results.push(SpecOutcome::Panicked(panic_message(payload.as_ref())));
+/// Group item indexes into batches by key, in order of first appearance,
+/// each batch holding its indexes in input order. The lookup map is never
+/// iterated, so the batches are deterministic.
+fn prefix_batches<K: Hash + Eq>(keys: impl ExactSizeIterator<Item = K>) -> Vec<Vec<usize>> {
+    let mut by_key: HashMap<K, usize> = HashMap::with_capacity(keys.len());
+    let mut batches: Vec<Vec<usize>> = Vec::new();
+    // lint: allow(unprobed-loop, batching pass, one iteration per level candidate)
+    for (i, key) in keys.enumerate() {
+        match by_key.entry(key) {
+            Entry::Occupied(slot) => {
+                if let Some(batch) = batches.get_mut(*slot.get()) {
+                    batch.push(i);
                 }
             }
-        }
-        absorb_level_outcomes(
-            &level,
-            results,
-            &mut states,
-            level_no,
-            config,
-            budget,
-            acc,
-            failures,
-            &mut next,
-            &mut next_parts,
-            recorder.as_deref_mut(),
-        );
-        checker.publish_pending();
-        std::mem::swap(&mut level, &mut next);
-        level_no += 1;
-        // Dump the completed boundary — but not a level cut short by the
-        // global time budget or cancellation, whose skipped candidates
-        // would be silently lost on resume. The previous boundary stays
-        // the resume point in that case.
-        if !budget.is_stopped() {
-            if let Some(rec) = recorder.as_deref_mut() {
-                record_checkpoint(
-                    rec, level_no, &level, &states, acc, failures, budget, shared,
-                );
+            Entry::Vacant(slot) => {
+                slot.insert(batches.len());
+                batches.push(vec![i]);
             }
         }
     }
-}
-
-/// The `Rayon` mode driver: per-level `par_iter` over *all* branches'
-/// candidates, then a single-threaded, input-ordered post-filter that
-/// replays the per-branch allowance accounting. Because the rayon shim's
-/// `collect` preserves input order and a branch's candidates appear within
-/// each level in branch-local BFS order, the post-filter truncates every
-/// branch at exactly the candidate the branch-sequential modes would —
-/// speculative work past that point is dropped, keeping results and
-/// `checks` byte-identical across modes. Panics are caught per candidate
-/// (the shim's join would abort otherwise); a panicked branch is marked
-/// failed and its candidates are ignored from then on, while its
-/// earlier-level emissions are stripped by the caller's quarantine filter.
-#[allow(clippy::too_many_arguments)]
-fn run_rayon_levels(
-    rel: &Relation,
-    universe: &[ColumnId],
-    cursor: LevelCursor,
-    config: &DiscoveryConfig,
-    budget: &Budget,
-    shared: &SharedCaches,
-    acc: &mut SearchAccumulator,
-    failures: &mut Vec<BranchFailure>,
-    mut recorder: Option<&mut CheckpointRecorder>,
-) {
-    let LevelCursor {
-        mut states,
-        mut level,
-        mut level_no,
-    } = cursor;
-    // Reused level-to-level, see `absorb_level_outcomes`.
-    let mut next: Vec<Candidate> = Vec::new();
-    let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
-    if let Some(rec) = recorder.as_deref_mut() {
-        record_checkpoint(
-            rec, level_no, &level, &states, acc, failures, budget, shared,
-        );
-    }
-    while !level.is_empty() && !budget.is_stopped() {
-        if config.max_level.is_some_and(|max| level_no > max) {
-            acc.level_capped = true;
-            break;
-        }
-        let results: Vec<SpecOutcome> = level
-            .par_iter()
-            .map_init(
-                || Checker::new(rel, config, shared),
-                |checker, cand| {
-                    if budget.is_stopped() {
-                        return SpecOutcome::Skipped;
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(any(test, feature = "fault-injection"))]
-                        if let Some(plan) = &config.fault {
-                            plan.before_candidate(cand.branch());
-                        }
-                        let mut em = Emission::default();
-                        process_candidate(universe, cand, checker, &mut em);
-                        em
-                    }));
-                    match outcome {
-                        Ok(em) => {
-                            budget.probe();
-                            SpecOutcome::Done(em)
-                        }
-                        Err(payload) => {
-                            // Quarantine the possibly-inconsistent private
-                            // checker state before the next candidate.
-                            *checker = Checker::new(rel, config, shared);
-                            SpecOutcome::Panicked(panic_message(payload.as_ref()))
-                        }
-                    }
-                },
-            )
-            .collect();
-
-        absorb_level_outcomes(
-            &level,
-            results,
-            &mut states,
-            level_no,
-            config,
-            budget,
-            acc,
-            failures,
-            &mut next,
-            &mut next_parts,
-            recorder.as_deref_mut(),
-        );
-        std::mem::swap(&mut level, &mut next);
-        level_no += 1;
-        if !budget.is_stopped() {
-            if let Some(rec) = recorder.as_deref_mut() {
-                record_checkpoint(
-                    rec, level_no, &level, &states, acc, failures, budget, shared,
-                );
-            }
-        }
-    }
+    batches
 }
 
 /// Group a level's candidates into prefix batches: one batch per distinct
@@ -1006,33 +635,24 @@ fn run_rayon_levels(
 /// index (or partition) in the worker's cache; the remaining members refine
 /// it, so keeping a batch on one worker turns the prefix from a per-check
 /// cache lookup into a guaranteed warm hit without touching shared state.
-fn level_batches(level: &[Candidate]) -> Vec<(AttrList, Vec<usize>)> {
-    let mut by_key: HashMap<&AttrList, usize> = HashMap::with_capacity(level.len());
-    let mut batches: Vec<(AttrList, Vec<usize>)> = Vec::new();
-    // lint: allow(unprobed-loop, batching pass, one iteration per level candidate)
-    for (i, cand) in level.iter().enumerate() {
-        match by_key.get(&cand.x) {
-            Some(&b) => {
-                if let Some(batch) = batches.get_mut(b) {
-                    batch.1.push(i);
-                }
-            }
-            None => {
-                by_key.insert(&cand.x, batches.len());
-                batches.push((cand.x.clone(), vec![i]));
-            }
-        }
-    }
-    batches
+///
+/// With `per_branch`, the key also holds the branch's second seed attribute
+/// (`y[0]`; `x[0]` is already in `x`), so no batch spans two level-2
+/// branches — the `StaticQueues` deal needs every batch to have one owner.
+fn level_batches(level: &[Candidate], per_branch: bool) -> Vec<Vec<usize>> {
+    prefix_batches(level.iter().map(|cand| {
+        let branch_part = if per_branch { cand.branch().1 } else { 0 };
+        (&cand.x, branch_part)
+    }))
 }
 
-/// Run one prefix batch on a `WorkStealing` worker, pushing a
+/// Run one prefix batch on a worker of the level driver, pushing a
 /// `(candidate index, outcome)` pair for every member.
 ///
 /// The cancellation/time budget is polled *immediately* (not amortized)
 /// once per batch — [`Budget::probe_now`] — so a cancelled run stops
-/// within one batch; within the batch the cheaper amortized probe is kept,
-/// matching the other modes' cadence. A panicking candidate is caught
+/// within one batch; within the batch the cheaper amortized probe is kept.
+/// A panicking candidate is caught
 /// here: the possibly-inconsistent checker is rebuilt and the batch
 /// *resumes after the panicked member*, so sibling branches sharing the
 /// prefix are not lost (their outcomes stand; the failed candidate's own
@@ -1098,32 +718,63 @@ fn run_batch<'r>(
     }
 }
 
-/// The `WorkStealing` mode driver: level-synchronous prefix-batch execution
-/// over hand-rolled work-stealing deques ([`StealQueues`]).
+/// Deal a level's batches over the mode's worker deques: round-robin with
+/// stealing, or under `StaticQueues` (§4.2.2) each batch to its branch's
+/// worker `seed index % k` without stealing.
+fn deal(
+    level: &[Candidate],
+    states: &HashMap<(ColumnId, ColumnId), BranchState>,
+    batches: &[Vec<usize>],
+    mode: ParallelMode,
+) -> StealQueues {
+    if !matches!(mode, ParallelMode::StaticQueues(_)) {
+        return StealQueues::new(mode.workers(), batches.len());
+    }
+    let owner = |members: &Vec<usize>| {
+        members
+            .first()
+            .and_then(|&i| level.get(i))
+            .and_then(|cand| states.get(&cand.branch()))
+            .map_or(0, |state| state.seed)
+    };
+    StealQueues::dealt(mode.workers(), batches.iter().map(owner), false)
+}
+
+/// One worker of the level driver: its checker (kept across levels, so a
+/// private prefix cache stays warm) and its scheduling counters.
+struct Worker<'r> {
+    checker: Checker<'r>,
+    stats: WorkerSchedStats,
+}
+
+/// The search driver of every execution mode: level-synchronous
+/// prefix-batch execution over the batch scheduler ([`StealQueues`]).
 ///
 /// Per level: candidates are grouped into prefix batches
-/// ([`level_batches`]), the batches are dealt round-robin over `k` worker
-/// deques, and `k` scoped threads drain them — own deque from the front
-/// (preserving prefix locality), victims from the back. Workers keep their
-/// [`Checker`] across levels; under an epoch shared cache they read the
-/// level's immutable snapshot lock-free and buffer inserts locally, and the
-/// driver publishes the buffers between levels in worker order (so epoch
-/// stamps, and hence evictions, are deterministic for a given schedule-
-/// independent insert set). Outcomes land in a per-worker list tagged with
-/// candidate indexes and are replayed through the same input-ordered
-/// post-filter as the `Rayon` driver ([`absorb_level_outcomes`]), which is
-/// what makes results byte-identical with the branch-sequential modes.
+/// ([`level_batches`]), the batches are dealt over the mode's `k` worker
+/// deques ([`deal`]), and the workers drain them — own deque from the
+/// front (preserving prefix locality), then, if stealing, victims from the
+/// back. One worker runs inline on the calling thread; more run on scoped
+/// threads ([`run_workers`]). Workers keep their [`Checker`] across
+/// levels; under a shared cache they read the level's immutable epoch
+/// snapshot lock-free and buffer inserts locally, and the driver publishes
+/// the buffers between levels in worker order (so epoch stamps, and hence
+/// evictions, are deterministic for a given schedule-independent insert
+/// set). Outcomes land in a per-worker list tagged with candidate indexes
+/// and are replayed through the input-ordered post-filter
+/// ([`absorb_level_outcomes`]), which is what makes results byte-identical
+/// across schedules.
 ///
-/// A worker thread dying (isolation itself failing) loses its level
-/// outcomes: the missing entries are treated as panics, quarantining the
-/// affected branches, and the remaining deques are still drained by the
+/// A worker dying (isolation itself failing) loses its level outcomes: the
+/// missing entries are treated as panics, quarantining the affected
+/// branches; under stealing, the remaining deques are still drained by the
 /// surviving workers.
 #[allow(clippy::too_many_arguments)]
-fn run_workstealing_levels(
+fn run_levels(
     rel: &Relation,
     universe: &[ColumnId],
     cursor: LevelCursor,
-    workers: usize,
+    mode: ParallelMode,
     config: &DiscoveryConfig,
     budget: &Budget,
     shared: &SharedCaches,
@@ -1131,21 +782,24 @@ fn run_workstealing_levels(
     failures: &mut Vec<BranchFailure>,
     mut recorder: Option<&mut CheckpointRecorder>,
 ) -> SchedulerStats {
-    let k = workers.max(1);
+    let k = mode.workers();
     let LevelCursor {
         mut states,
         mut level,
         mut level_no,
     } = cursor;
+    // Reused level-to-level, see `absorb_level_outcomes`.
     let mut next: Vec<Candidate> = Vec::new();
     let mut next_parts: Vec<((ColumnId, ColumnId), Vec<Candidate>)> = Vec::new();
-    let mut checkers: Vec<Checker<'_>> =
-        (0..k).map(|_| Checker::new(rel, config, shared)).collect();
-    let mut sched = SchedulerStats {
-        batches: 0,
-        levels: 0,
-        workers: vec![WorkerSchedStats::default(); k],
-    };
+    let mut workers: Vec<Worker<'_>> = (0..k)
+        .map(|_| Worker {
+            checker: Checker::new(rel, config, shared),
+            stats: WorkerSchedStats::default(),
+        })
+        .collect();
+    let mut sched = SchedulerStats::default();
+    // Initial boundary: a kill at any point during the first level already
+    // has a resume point.
     if let Some(rec) = recorder.as_deref_mut() {
         record_checkpoint(
             rec, level_no, &level, &states, acc, failures, budget, shared,
@@ -1157,57 +811,52 @@ fn run_workstealing_levels(
             break;
         }
         sched.levels += 1;
-        let batches = level_batches(&level);
+        let batches = level_batches(&level, matches!(mode, ParallelMode::StaticQueues(_)));
         sched.batches += batches.len() as u64;
-        let queues = StealQueues::new(k, batches.len());
+        let queues = deal(&level, &states, &batches, mode);
 
+        let outputs = run_workers(&mut workers, |w, worker| {
+            worker.checker.begin_level();
+            let mut local: Vec<(usize, SpecOutcome)> = Vec::new();
+            while let Some((b, stolen)) = queues.pop(w) {
+                worker.stats.batches += 1;
+                worker.stats.steals += u64::from(stolen);
+                let Some(members) = batches.get(b) else {
+                    continue;
+                };
+                run_batch(
+                    rel,
+                    universe,
+                    members,
+                    &level,
+                    &mut worker.checker,
+                    config,
+                    shared,
+                    budget,
+                    &mut local,
+                );
+            }
+            local
+        });
         let mut slots: Vec<Option<SpecOutcome>> = Vec::with_capacity(level.len());
         slots.resize_with(level.len(), || None);
         let mut worker_death: Option<String> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = checkers
-                .iter_mut()
-                .zip(sched.workers.iter_mut())
-                .enumerate()
-                .map(|(w, (checker, wstats))| {
-                    let queues = &queues;
-                    let batches = &batches;
-                    let level = &level;
-                    scope.spawn(move || {
-                        checker.begin_level();
-                        let mut local: Vec<(usize, SpecOutcome)> = Vec::new();
-                        while let Some((b, stolen)) = queues.pop(w) {
-                            wstats.batches += 1;
-                            wstats.steals += u64::from(stolen);
-                            let Some(batch) = batches.get(b) else {
-                                continue;
-                            };
-                            run_batch(
-                                rel, universe, &batch.1, level, checker, config, shared, budget,
-                                &mut local,
-                            );
-                        }
-                        local
-                    })
-                })
-                .collect();
-            // lint: allow(unprobed-loop, join loop bounded by the worker count)
-            for handle in handles {
-                match handle.join() {
-                    Ok(local) => {
-                        for (i, outcome) in local {
-                            if let Some(slot) = slots.get_mut(i) {
-                                *slot = Some(outcome);
-                            }
+        // lint: allow(unprobed-loop, join loop bounded by the worker count)
+        for output in outputs {
+            match output {
+                Ok(local) => {
+                    for (i, outcome) in local {
+                        if let Some(slot) = slots.get_mut(i) {
+                            *slot = Some(outcome);
                         }
                     }
-                    // `run_batch` isolates candidate panics, so a dead
-                    // worker means the isolation itself failed; its level
-                    // outcomes died with it and surface as panics below.
-                    Err(payload) => worker_death = Some(panic_message(payload.as_ref())),
                 }
+                // `run_batch` isolates candidate panics, so a dead worker
+                // means the isolation itself failed; its level outcomes
+                // died with it and surface as panics below.
+                Err(message) => worker_death = Some(message),
             }
-        });
+        }
         let results: Vec<SpecOutcome> = slots
             .into_iter()
             .map(|slot| {
@@ -1237,11 +886,15 @@ fn run_workstealing_levels(
         // Publish buffered cache inserts in worker order: deterministic
         // epoch stamps for the next level's snapshot.
         // lint: allow(unprobed-loop, publish loop bounded by the worker count)
-        for checker in &mut checkers {
-            checker.publish_pending();
+        for worker in &mut workers {
+            worker.checker.publish_pending();
         }
         std::mem::swap(&mut level, &mut next);
         level_no += 1;
+        // Dump the completed boundary — but not a level cut short by the
+        // global time budget or cancellation, whose skipped candidates
+        // would be silently lost on resume. The previous boundary stays
+        // the resume point in that case.
         if !budget.is_stopped() {
             if let Some(rec) = recorder.as_deref_mut() {
                 record_checkpoint(
@@ -1250,6 +903,7 @@ fn run_workstealing_levels(
             }
         }
     }
+    sched.workers = workers.iter().map(|w| w.stats).collect();
     sched
 }
 
@@ -1291,7 +945,7 @@ pub(crate) enum EscalationKind {
 
 impl EscalationKind {
     /// The sort-key prefix this job's first scan materializes — the batch
-    /// grouping key (mirrors [`level_batches`]).
+    /// grouping key, as in [`level_batches`].
     fn prefix(&self) -> &AttrList {
         match self {
             EscalationKind::Ocd { x, .. } | EscalationKind::Od { x, .. } => x,
@@ -1430,12 +1084,11 @@ fn run_escalation_batch<'r>(
 ///
 /// Jobs are grouped into prefix batches (one per distinct `x` side, like
 /// [`level_batches`]) so a batch's first check materializes the shared
-/// sort prefix and the rest hit it warm. Under
-/// [`ParallelMode::WorkStealing`] the batches are dealt over
-/// [`StealQueues`] and drained by scoped workers with per-worker
-/// [`Checker`]s (epoch caches are published after the wave); every other
-/// mode drains them inline on one checker. Verdicts come back indexed by
-/// job — the result is deterministic regardless of mode or schedule.
+/// sort prefix and the rest hit it warm. The batches are dealt round-robin
+/// over the mode's workers with stealing, on the level driver's worker pool
+/// ([`run_workers`]), and epoch caches are published after the wave.
+/// Verdicts come back indexed by job — the result is deterministic
+/// regardless of mode or schedule.
 pub(crate) fn run_escalations(
     rel: &Relation,
     config: &DiscoveryConfig,
@@ -1446,48 +1099,55 @@ pub(crate) fn run_escalations(
         return Vec::new();
     }
     let shared = SharedCaches::from_config(config);
-    // Prefix batches in order of first appearance (lookup map only — its
-    // iteration order is never observed).
-    let mut by_key: HashMap<&AttrList, usize> = HashMap::with_capacity(jobs.len());
-    let mut batches: Vec<Vec<usize>> = Vec::new();
-    // lint: allow(unprobed-loop, batching pass bounded by the escalation job count)
-    for (i, job) in jobs.iter().enumerate() {
-        match by_key.get(job.kind.prefix()) {
-            Some(&b) => {
-                if let Some(batch) = batches.get_mut(b) {
-                    batch.push(i);
-                }
-            }
-            None => {
-                by_key.insert(job.kind.prefix(), batches.len());
-                batches.push(vec![i]);
-            }
+    let batches = prefix_batches(jobs.iter().map(|job| job.kind.prefix()));
+    let workers = config.mode.workers();
+    let queues = StealQueues::new(workers, batches.len());
+    let mut checkers: Vec<Checker<'_>> = (0..workers)
+        .map(|_| Checker::new(rel, config, &shared))
+        .collect();
+    let outputs = run_workers(&mut checkers, |w, checker| {
+        checker.begin_level();
+        let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
+        while let Some((b, _stolen)) = queues.pop(w) {
+            let Some(members) = batches.get(b) else {
+                continue;
+            };
+            run_escalation_batch(
+                rel, members, jobs, checker, config, &shared, budget, &mut local,
+            );
+        }
+        local
+    });
+    // lint: allow(unprobed-loop, publish loop bounded by the worker count)
+    for checker in &mut checkers {
+        checker.publish_pending();
+    }
+    let mut slots: Vec<Option<EscalationVerdict>> = vec![None; jobs.len()];
+    // A dead worker loses its verdicts; the retry below recomputes them.
+    // lint: allow(unprobed-loop, slot scatter, one move per computed verdict)
+    for (i, v) in outputs.into_iter().flatten().flatten() {
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(v);
         }
     }
-
-    let workers = match config.mode {
-        ParallelMode::WorkStealing(k) => k.max(1),
-        _ => 1,
-    };
-    let mut slots: Vec<Option<EscalationVerdict>> = Vec::with_capacity(jobs.len());
-    slots.resize_with(jobs.len(), || None);
-
-    if workers == 1 {
+    // Retry lost slots inline (worker death / lost outcomes).
+    let lost: Vec<usize> = (0..jobs.len())
+        .filter(|&i| slots.get(i).is_some_and(Option::is_none))
+        .collect();
+    if !lost.is_empty() {
         let mut checker = Checker::new(rel, config, &shared);
         checker.begin_level();
         let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
-        for members in &batches {
-            run_escalation_batch(
-                rel,
-                members,
-                jobs,
-                &mut checker,
-                config,
-                &shared,
-                budget,
-                &mut local,
-            );
-        }
+        run_escalation_batch(
+            rel,
+            &lost,
+            jobs,
+            &mut checker,
+            config,
+            &shared,
+            budget,
+            &mut local,
+        );
         checker.publish_pending();
         // lint: allow(unprobed-loop, slot scatter, one move per computed verdict)
         for (i, v) in local {
@@ -1495,88 +1155,13 @@ pub(crate) fn run_escalations(
                 *slot = Some(v);
             }
         }
-    } else {
-        let mut checkers: Vec<Checker<'_>> = (0..workers)
-            .map(|_| Checker::new(rel, config, &shared))
-            .collect();
-        let queues = StealQueues::new(workers, batches.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = checkers
-                .iter_mut()
-                .enumerate()
-                .map(|(w, checker)| {
-                    let queues = &queues;
-                    let batches = &batches;
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        checker.begin_level();
-                        let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
-                        while let Some((b, _stolen)) = queues.pop(w) {
-                            let Some(members) = batches.get(b) else {
-                                continue;
-                            };
-                            run_escalation_batch(
-                                rel, members, jobs, checker, config, shared, budget, &mut local,
-                            );
-                        }
-                        local
-                    })
-                })
-                .collect();
-            // lint: allow(unprobed-loop, join loop bounded by the worker count)
-            for handle in handles {
-                if let Ok(local) = handle.join() {
-                    for (i, v) in local {
-                        if let Some(slot) = slots.get_mut(i) {
-                            *slot = Some(v);
-                        }
-                    }
-                }
-                // A dead worker loses its verdicts; the sequential retry
-                // below recomputes them deterministically.
-            }
-        });
-        // lint: allow(unprobed-loop, publish loop bounded by the worker count)
-        for checker in &mut checkers {
-            checker.publish_pending();
-        }
-        // Retry lost slots inline (worker death / lost outcomes).
-        if slots.iter().any(Option::is_none) {
-            let mut checker = Checker::new(rel, config, &shared);
-            checker.begin_level();
-            let mut local: Vec<(usize, EscalationVerdict)> = Vec::new();
-            for (i, slot) in slots.iter().enumerate() {
-                if slot.is_none() {
-                    run_escalation_batch(
-                        rel,
-                        &[i],
-                        jobs,
-                        &mut checker,
-                        config,
-                        &shared,
-                        budget,
-                        &mut local,
-                    );
-                }
-            }
-            checker.publish_pending();
-            // lint: allow(unprobed-loop, slot scatter, one move per computed verdict)
-            for (i, v) in local {
-                if let Some(slot) = slots.get_mut(i) {
-                    *slot = Some(v);
-                }
-            }
-        }
     }
-
     slots
         .into_iter()
         .map(|slot| {
             slot.unwrap_or(EscalationVerdict {
                 skipped: true,
-                exact: false,
-                error: None,
-                rows_scanned: 0,
+                ..EscalationVerdict::default()
             })
         })
         .collect()
@@ -1608,20 +1193,30 @@ pub(crate) fn resume_after_od_invalidation(
         .collect();
     let budget = Budget::new(config, crate::runtime::now(), 0);
     let shared = SharedCaches::from_config(config);
-    let mut checker = Checker::new(rel, config, &shared);
     let mut acc = SearchAccumulator::default();
+    let mut failures = Vec::new();
     // The seeds all belong to one branch, so the whole `max_checks` budget
-    // is its allowance.
+    // is its allowance (`from_queue` keys its states by branch, so the
+    // seeds share one).
     let allowance = config.max_checks.unwrap_or(u64::MAX);
-    run_subtree(
+    let mut cursor = LevelCursor::from_queue(seeds.into_iter().map(|s| (s, allowance)).collect());
+    cursor.level_no = od_lhs.len() + od_rhs.len() + 1;
+    run_levels(
+        rel,
         universe,
-        seeds,
+        cursor,
+        ParallelMode::Sequential,
         config,
         &budget,
-        &mut checker,
-        allowance,
+        &shared,
         &mut acc,
+        &mut failures,
+        None,
     );
+    // A quarantined branch keeps nothing, as in `finalize_result`.
+    if !failures.is_empty() {
+        return (Vec::new(), Vec::new(), budget.checks());
+    }
     (acc.ocds, acc.ods, budget.checks())
 }
 
@@ -1642,7 +1237,7 @@ pub struct BranchCost {
 }
 
 /// Profile every level-2 branch of the search individually: run column
-/// reduction (timed), then each seed's subtree sequentially.
+/// reduction (timed), then each seed's subtree on one inline worker.
 ///
 /// Used by the Figure 6 harness to *simulate* the static-queue speedup on
 /// machines without enough cores to measure it: for K queues, the
@@ -1668,18 +1263,21 @@ pub fn profile_branches(
         let seed_pair = seed.branch();
         let budget = Budget::new(config, crate::runtime::now(), 0);
         let shared = SharedCaches::from_config(config);
-        let mut checker = Checker::new(rel, config, &shared);
         let mut acc = SearchAccumulator::default();
+        let mut failures = Vec::new();
         let allowance = config.max_checks.unwrap_or(u64::MAX);
         let t = crate::runtime::now();
-        run_subtree(
+        run_levels(
+            rel,
             &reduction.attributes,
-            vec![seed],
+            LevelCursor::from_queue(vec![(seed, allowance)]),
+            ParallelMode::Sequential,
             config,
             &budget,
-            &mut checker,
-            allowance,
+            &shared,
             &mut acc,
+            &mut failures,
+            None,
         );
         costs.push(BranchCost {
             seed: seed_pair,
@@ -1732,133 +1330,18 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
 
     let mut acc = SearchAccumulator::default();
     let mut failures: Vec<BranchFailure> = Vec::new();
-    let mut scheduler: Option<SchedulerStats> = None;
-    match config.mode {
-        // With a checkpoint recorder installed, the branch-sequential
-        // modes switch to the level-synchronous sequential driver — it is
-        // the only traversal with a global frontier to dump, and its
-        // results are byte-identical by the post-filter argument
-        // (`StaticQueues`' round-robin partition changes nothing about
-        // what is checked, only on which thread).
-        ParallelMode::Sequential | ParallelMode::StaticQueues(_) if recorder.is_some() => {
-            run_sequential_levels(
-                rel,
-                universe,
-                LevelCursor::from_queue(queue),
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            );
-        }
-        ParallelMode::Sequential => {
-            let (a, f) = run_queue(rel, universe, queue, config, &budget, &shared);
-            acc.merge(a);
-            failures.extend(f);
-        }
-        ParallelMode::StaticQueues(k) => {
-            let k = k.max(1);
-            // Round-robin partition of the level-2 branches (§4.2.2). Each
-            // candidate's whole subtree stays within its seed's queue.
-            let mut queues: Vec<Vec<(Candidate, u64)>> = (0..k).map(|_| Vec::new()).collect();
-            // lint: allow(unprobed-loop, round-robin partition of the level-2 seeds, one push per branch)
-            for (i, entry) in queue.into_iter().enumerate() {
-                if let Some(q) = queues.get_mut(i % k) {
-                    q.push(entry);
-                }
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = queues
-                    .into_iter()
-                    .map(|worker_queue| {
-                        let branches: Vec<(ColumnId, ColumnId)> =
-                            worker_queue.iter().map(|(seed, _)| seed.branch()).collect();
-                        let budget = &budget;
-                        let shared = &shared;
-                        let handle = scope.spawn(move || {
-                            run_queue(rel, universe, worker_queue, config, budget, shared)
-                        });
-                        (branches, handle)
-                    })
-                    .collect();
-                // lint: allow(unprobed-loop, join loop bounded by the worker count)
-                for (branches, handle) in handles {
-                    match handle.join() {
-                        Ok((a, f)) => {
-                            acc.merge(a);
-                            failures.extend(f);
-                        }
-                        // `run_queue` already isolates branch panics, so a
-                        // dead worker means the isolation itself failed —
-                        // quarantine its whole queue rather than crash.
-                        Err(payload) => {
-                            let message = panic_message(payload.as_ref());
-                            failures.extend(branches.into_iter().map(|branch| BranchFailure {
-                                branch,
-                                message: message.clone(),
-                            }));
-                        }
-                    }
-                }
-            });
-        }
-        ParallelMode::Rayon(k) => {
-            match rayon::ThreadPoolBuilder::new()
-                .num_threads(k.max(1))
-                .build()
-            {
-                Ok(pool) => pool.install(|| {
-                    run_rayon_levels(
-                        rel,
-                        universe,
-                        LevelCursor::from_queue(queue),
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }),
-                // No pool — degrade to a sequential path instead of
-                // aborting; results are identical by construction.
-                Err(_) if recorder.is_some() => {
-                    run_sequential_levels(
-                        rel,
-                        universe,
-                        LevelCursor::from_queue(queue),
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }
-                Err(_) => {
-                    let (a, f) = run_queue(rel, universe, queue, config, &budget, &shared);
-                    acc.merge(a);
-                    failures.extend(f);
-                }
-            }
-        }
-        ParallelMode::WorkStealing(k) => {
-            scheduler = Some(run_workstealing_levels(
-                rel,
-                universe,
-                LevelCursor::from_queue(queue),
-                k,
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            ));
-        }
-    }
+    let sched = run_levels(
+        rel,
+        universe,
+        LevelCursor::from_queue(queue),
+        config.mode,
+        config,
+        &budget,
+        &shared,
+        &mut acc,
+        &mut failures,
+        recorder.as_mut(),
+    );
 
     finalize_result(
         reduction,
@@ -1866,7 +1349,7 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
         failures,
         &budget,
         &shared,
-        scheduler,
+        (config.mode != ParallelMode::Sequential).then_some(sched),
         start.elapsed(),
         kernel_stats::snapshot().since(&kernels_before),
         recorder.as_mut(),
@@ -1882,12 +1365,10 @@ pub fn discover(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
 /// have produced — the same OCDs/ODs/constants/equivalence classes, the
 /// same `checks`, `candidates_generated`, per-level stats, and termination
 /// reason — across every [`ParallelMode`] and cache configuration, because
-/// the level drivers cannot distinguish a snapshot-built `LevelCursor`
-/// from a fresh one. (`StaticQueues` resumes on the level-synchronous
-/// sequential driver, which checks the same candidates on one thread.)
-/// Wall-clock `elapsed` and kernel counters continue cumulatively from the
-/// dump; the time budget, if any, restarts at the resume (timing is not
-/// part of the deterministic result).
+/// the level driver cannot distinguish a snapshot-built `LevelCursor`
+/// from a fresh one. Wall-clock `elapsed` and kernel counters continue
+/// cumulatively from the dump; the time budget, if any, restarts at the
+/// resume (timing is not part of the deterministic result).
 ///
 /// When `config.checkpoint` is also set, the resumed run keeps dumping at
 /// level boundaries, so a resume can itself be killed and resumed.
@@ -1949,69 +1430,18 @@ pub fn discover_resume(
         .collect();
     let cursor = LevelCursor::from_snapshot(snap);
 
-    let mut scheduler: Option<SchedulerStats> = None;
-    match config.mode {
-        ParallelMode::Sequential | ParallelMode::StaticQueues(_) => {
-            run_sequential_levels(
-                rel,
-                universe,
-                cursor,
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            );
-        }
-        ParallelMode::Rayon(k) => {
-            match rayon::ThreadPoolBuilder::new()
-                .num_threads(k.max(1))
-                .build()
-            {
-                Ok(pool) => pool.install(|| {
-                    run_rayon_levels(
-                        rel,
-                        universe,
-                        cursor,
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }),
-                Err(_) => {
-                    run_sequential_levels(
-                        rel,
-                        universe,
-                        cursor,
-                        config,
-                        &budget,
-                        &shared,
-                        &mut acc,
-                        &mut failures,
-                        recorder.as_mut(),
-                    );
-                }
-            }
-        }
-        ParallelMode::WorkStealing(k) => {
-            scheduler = Some(run_workstealing_levels(
-                rel,
-                universe,
-                cursor,
-                k,
-                config,
-                &budget,
-                &shared,
-                &mut acc,
-                &mut failures,
-                recorder.as_mut(),
-            ));
-        }
-    }
+    let sched = run_levels(
+        rel,
+        universe,
+        cursor,
+        config.mode,
+        config,
+        &budget,
+        &shared,
+        &mut acc,
+        &mut failures,
+        recorder.as_mut(),
+    );
 
     let elapsed = std::time::Duration::from_millis(snap.elapsed_ms).saturating_add(start.elapsed());
     let kernels = kernel_stats::snapshot()
@@ -2023,7 +1453,7 @@ pub fn discover_resume(
         failures,
         &budget,
         &shared,
-        scheduler,
+        (config.mode != ParallelMode::Sequential).then_some(sched),
         elapsed,
         kernels,
         recorder.as_mut(),
@@ -2034,14 +1464,8 @@ pub fn discover_resume(
 /// by [`discover`] and [`discover_resume`] — reduction is deterministic,
 /// so a resume recomputes the same facts the dump's run saw).
 fn run_reduction(rel: &Relation, config: &DiscoveryConfig) -> Reduction {
-    let reduction_threads = match config.mode {
-        ParallelMode::Sequential => 1,
-        ParallelMode::StaticQueues(k) | ParallelMode::Rayon(k) | ParallelMode::WorkStealing(k) => {
-            k.max(1)
-        }
-    };
     if config.column_reduction {
-        crate::reduction::columns_reduction_with_threads(rel, reduction_threads)
+        crate::reduction::columns_reduction_with_threads(rel, config.mode.workers())
     } else {
         Reduction {
             attributes: (0..rel.num_columns()).collect(),
@@ -2067,12 +1491,11 @@ fn finalize_result(
 ) -> DiscoveryResult {
     let mut acc = acc;
     // Quarantine filter: drop the dependencies rooted in failed branches.
-    // The branch-sequential paths already lost them with the branch's
-    // accumulator; under `Rayon` (and a dead StaticQueues worker) emissions
-    // from earlier levels may linger and are stripped here, so a faulty
-    // run's OCD/OD sets equal the fault-free run minus exactly the
-    // quarantined branches. (Per-level stats and generation counters stay
-    // best-effort under failure.)
+    // A failed branch's emissions from earlier levels linger in the
+    // accumulator and are stripped here, so a faulty run's OCD/OD sets
+    // equal the fault-free run minus exactly the quarantined branches.
+    // (Per-level stats and generation counters stay best-effort under
+    // failure.)
     if !failures.is_empty() {
         let failed: HashSet<(ColumnId, ColumnId)> = failures.iter().map(|f| f.branch).collect();
         acc.ocds.retain(|o| !failed.contains(&ocd_branch(o)));
@@ -2290,18 +1713,13 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let ray = discover(
-                &r,
-                &DiscoveryConfig {
-                    mode: ParallelMode::Rayon(3),
-                    ..Default::default()
-                },
-            );
             assert_eq!(seq.ocds, par.ocds, "case {case}: static queues differ");
             assert_eq!(seq.ods, par.ods, "case {case}");
-            assert_eq!(seq.ocds, ray.ocds, "case {case}: rayon differs");
-            assert_eq!(seq.ods, ray.ods, "case {case}");
             assert_eq!(seq.checks, par.checks, "case {case}: same candidate tree");
+            assert_eq!(seq.levels, par.levels, "case {case}: static queues levels");
+            assert!(seq.scheduler.is_none(), "sequential reports no scheduler");
+            let sched = par.scheduler.expect("static queues report scheduler stats");
+            assert_eq!(sched.steals(), 0, "case {case}: static queues never steal");
             for workers in [1, 4] {
                 let ws = discover(
                     &r,
@@ -2338,12 +1756,89 @@ mod tests {
             c(&[1, 3], &[2]),
             c(&[1], &[3]),
         ];
-        let batches = level_batches(&level);
-        let keys: Vec<&AttrList> = batches.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![&l(&[0]), &l(&[1]), &l(&[1, 3])]);
-        assert_eq!(batches[0].1, vec![0, 1, 3]);
-        assert_eq!(batches[1].1, vec![2, 5]);
-        assert_eq!(batches[2].1, vec![4]);
+        assert_eq!(
+            level_batches(&level, false),
+            vec![vec![0, 1, 3], vec![2, 5], vec![4]]
+        );
+        // Keyed per branch, `[0]~[1]`, `[0]~[2]` and `[0]~[3]` are three
+        // branches, so the `[0]` prefix splits three ways.
+        assert_eq!(
+            level_batches(&level, true),
+            vec![vec![0], vec![1], vec![2], vec![3], vec![4], vec![5]]
+        );
+    }
+
+    #[test]
+    fn static_deal_sends_each_branch_to_its_seed_worker() {
+        // Level 2 of a 4-column universe plus level-3 children of three
+        // branches: under StaticQueues(k) every batch holds one branch and
+        // lands on worker `seed index % k`, and nobody steals.
+        let c = |x: &[usize], y: &[usize]| Candidate { x: l(x), y: l(y) };
+        let seeds = seed_candidates(&[0, 1, 2, 3]);
+        let cursor = LevelCursor::from_queue(seeds.iter().map(|s| (s.clone(), 10)).collect());
+        let level3 = vec![
+            c(&[0, 2], &[1]),
+            c(&[0, 3], &[1]),
+            c(&[0], &[1, 2]),
+            c(&[0, 1], &[2]),
+            c(&[1, 0], &[3]),
+            c(&[1], &[3, 0]),
+            c(&[2, 0], &[3]),
+        ];
+        for k in [1, 2, 4, 7] {
+            for level in [&seeds, &level3] {
+                let batches = level_batches(level, true);
+                let queues = deal(
+                    level,
+                    &cursor.states,
+                    &batches,
+                    ParallelMode::StaticQueues(k),
+                );
+                let mut seen = 0;
+                for w in 0..k {
+                    while let Some((b, stolen)) = queues.pop(w) {
+                        assert!(!stolen, "k={k}: static queues never steal");
+                        seen += 1;
+                        let branch = level[batches[b][0]].branch();
+                        for &i in &batches[b] {
+                            assert_eq!(level[i].branch(), branch, "k={k}: batch spans branches");
+                        }
+                        let seed = seeds.iter().position(|s| s.branch() == branch).unwrap();
+                        assert_eq!(seed % k, w, "k={k}: branch {branch:?} on worker {w}");
+                    }
+                }
+                assert_eq!(seen, batches.len(), "k={k}: every batch dealt once");
+            }
+        }
+    }
+
+    #[test]
+    fn static_queues_leave_workers_without_a_branch_idle() {
+        // Three columns, three branches: StaticQueues(5) gives workers 3
+        // and 4 nothing, and every worker keeps to its own branches.
+        let r = rel(&[
+            ("a", &[1, 1, 2, 2, 3, 3]),
+            ("b", &[1, 2, 2, 3, 3, 4]),
+            ("c", &[1, 1, 1, 2, 2, 3]),
+        ]);
+        let seq = discover(&r, &DiscoveryConfig::default());
+        let par = discover(
+            &r,
+            &DiscoveryConfig {
+                mode: ParallelMode::StaticQueues(5),
+                ..DiscoveryConfig::default()
+            },
+        );
+        assert_same_result(&seq, &par, "static(5)");
+        let sched = par.scheduler.expect("scheduler stats");
+        assert_eq!(sched.workers.len(), 5);
+        assert_eq!(sched.steals(), 0);
+        assert!(sched.workers[..3].iter().all(|w| w.batches > 0));
+        assert!(sched.workers[3..].iter().all(|w| w.batches == 0));
+        assert_eq!(
+            sched.workers.iter().map(|w| w.batches).sum::<u64>(),
+            sched.batches
+        );
     }
 
     #[test]
@@ -2760,10 +2255,25 @@ mod tests {
         for (mode, label) in [
             (ParallelMode::Sequential, "sequential"),
             (ParallelMode::StaticQueues(4), "static_queues"),
-            (ParallelMode::Rayon(3), "rayon"),
             (ParallelMode::WorkStealing(3), "work_stealing"),
         ] {
             assert_branch_quarantined(&r, mode, label);
+        }
+        // The quarantined result itself is byte-identical across modes.
+        let clean = discover(&r, &DiscoveryConfig::default());
+        let branch = ocd_branch(clean.ocds.first().expect("relation has OCDs"));
+        let faulty = |mode| {
+            let mut plan = FaultPlan::default();
+            plan.panic_on_branch = Some(branch);
+            discover(&r, &with_fault(mode, plan))
+        };
+        let seq = faulty(ParallelMode::Sequential);
+        assert!(matches!(
+            seq.termination,
+            TerminationReason::WorkerFailure { .. }
+        ));
+        for mode in [ParallelMode::StaticQueues(2), ParallelMode::WorkStealing(3)] {
+            assert_same_result(&seq, &faulty(mode), &format!("{mode:?}"));
         }
     }
 
@@ -2773,7 +2283,6 @@ mod tests {
         for (mode, label) in [
             (ParallelMode::Sequential, "sequential"),
             (ParallelMode::StaticQueues(2), "static_queues"),
-            (ParallelMode::Rayon(2), "rayon"),
             (ParallelMode::WorkStealing(2), "work_stealing"),
         ] {
             let clean = discover(
@@ -2809,8 +2318,7 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(9);
         let r = random_rel(&mut rng);
-        // Covers both shared-cache designs: lock-striped (StaticQueues)
-        // and epoch-published (WorkStealing).
+        // The epoch-published cache under both parallel deals.
         for mode in [ParallelMode::StaticQueues(3), ParallelMode::WorkStealing(3)] {
             let base = DiscoveryConfig {
                 mode,
@@ -2864,7 +2372,6 @@ mod tests {
         for (mode, label) in [
             (ParallelMode::Sequential, "sequential"),
             (ParallelMode::StaticQueues(3), "static_queues"),
-            (ParallelMode::Rayon(3), "rayon"),
             (ParallelMode::WorkStealing(3), "work_stealing"),
         ] {
             let controller = RunController::new();
@@ -2954,7 +2461,6 @@ mod tests {
         for mode in [
             ParallelMode::Sequential,
             ParallelMode::StaticQueues(3),
-            ParallelMode::Rayon(3),
             ParallelMode::WorkStealing(3),
         ] {
             let ck = discover(
@@ -3004,7 +2510,6 @@ mod tests {
             for mode in [
                 ParallelMode::Sequential,
                 ParallelMode::StaticQueues(3),
-                ParallelMode::Rayon(2),
                 ParallelMode::WorkStealing(3),
             ] {
                 let resumed = discover_resume(

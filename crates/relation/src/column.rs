@@ -141,14 +141,12 @@ impl Column {
         for (pos, &row) in order.iter().enumerate() {
             let v = &values[row as usize];
             if pos == 0 {
-                // lint: allow(hot-loop-alloc, load-time dictionary build; each clone is the dictionary's owned entry for a new distinct value)
                 dictionary.push(v.clone());
             } else {
                 let prev = &values[order[pos - 1] as usize];
                 if v != prev {
                     // lint: allow(overflow-prone-arith, rank increments at most once per row and m <= u32::MAX by the encode assert)
                     rank += 1;
-                    // lint: allow(hot-loop-alloc, load-time dictionary build; each clone is the dictionary's owned entry for a new distinct value)
                     dictionary.push(v.clone());
                 }
             }

@@ -87,7 +87,6 @@ pub fn homogenize(values: &mut [Value], mode: TypingMode) {
     for v in values.iter_mut() {
         match v {
             Value::Int(_) | Value::Float(_) => {
-                // lint: allow(hot-loop-alloc, load-time homogenization; the string becomes the column's owned value)
                 *v = Value::Str(v.to_string());
             }
             _ => {}

@@ -923,17 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn scans_bump_kernel_counters() {
-        let rel = rel_from(vec![(0..200).collect(), (0..200).collect()]);
-        let index = sort_index_by(&rel, &[0]);
-        let before = kernel_stats::snapshot();
-        assert_eq!(od_scan(&rel, &[0], &[1], &index), None);
-        let delta = kernel_stats::snapshot().since(&before);
-        assert_eq!(delta.total_scans(), 1);
-        assert_eq!(delta.scan_scalar, 0, "200 rows must dispatch blockwise");
-    }
-
-    #[test]
     fn all_ties_hold() {
         let n = 150;
         let rel = rel_from(vec![vec![7; n], vec![3; n]]);

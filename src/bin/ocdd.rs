@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! ocdd profile  <file.csv> [--algo ocdd|order|fastod|tane|bidi|approx]
-//!               [--threads N] [--lex] [--epsilon E] [--budget SECS]
-//!               [--top-k K] [--no-header] [--sep C] [--show-table] [--json]
-//!               [--out FILE] [--checkpoint-dir D] [--checkpoint-every N]
-//!               [--checkpoint-keep N] [--resume FILE|DIR]
+//!               [--threads N] [--mode static|steal] [--lex] [--epsilon E]
+//!               [--budget SECS] [--top-k K] [--no-header] [--sep C]
+//!               [--show-table] [--json] [--out FILE] [--checkpoint-dir D]
+//!               [--checkpoint-every N] [--checkpoint-keep N] [--resume FILE|DIR]
 //!               [--sample N] [--confidence C] [--seed S] [--stratify COL]
 //! ocdd dump-dot <dump.json|DIR> [--csv file.csv] [--no-header] [--sep C]
 //! ocdd dataset  <name> [--rows N]         # emit a bundled dataset as CSV
@@ -57,7 +57,7 @@ unsafe fn libc_sigpipe_default() {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ocdd profile <file.csv> [--algo ocdd|order|fastod|tane|bidi|approx] \
-         [--threads N] [--mode static|rayon|steal] [--lex] [--epsilon E] [--budget SECS] \
+         [--threads N] [--mode static|steal] [--lex] [--epsilon E] [--budget SECS] \
          [--top-k K] [--no-header] [--sep C] [--show-table] [--json] [--out FILE] \
          [--checkpoint-dir D] [--checkpoint-every N] [--checkpoint-keep N] \
          [--resume FILE|DIR] [--sample N] [--confidence C] [--seed S] \
@@ -158,15 +158,11 @@ fn parse_profile(args: &[String]) -> Option<ProfileArgs> {
     } else if ckpt_every.is_some() || ckpt_keep.is_some() {
         return None; // interval/retention without --checkpoint-dir
     }
-    out.config.mode = if threads <= 1 && mode != "steal" {
-        ParallelMode::Sequential
-    } else {
-        match mode.as_str() {
-            "static" => ParallelMode::StaticQueues(threads),
-            "rayon" => ParallelMode::Rayon(threads),
-            "steal" => ParallelMode::WorkStealing(threads.max(1)),
-            _ => return None,
-        }
+    out.config.mode = match mode.as_str() {
+        "steal" => ParallelMode::WorkStealing(threads.max(1)),
+        "static" if threads <= 1 => ParallelMode::Sequential,
+        "static" => ParallelMode::StaticQueues(threads),
+        _ => return None,
     };
     (!out.path.is_empty()).then_some(out)
 }

@@ -134,3 +134,53 @@ fn profile_json_output_is_machine_readable() {
         "got: {text}"
     );
 }
+
+#[test]
+fn invalid_mode_is_a_usage_error_at_any_thread_count() {
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("m.csv");
+    std::fs::write(&path, "a,b\n1,10\n2,20\n3,30\n").unwrap();
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["profile", path, "--mode", "bogus"],
+        vec!["profile", path, "--threads", "2", "--mode", "bogus"],
+        vec!["profile", path, "--mode", "rayon"],
+        vec!["profile", path, "--threads", "4", "--mode", "rayon"],
+    ] {
+        let out = ocdd(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn every_valid_mode_reports_the_same_dependencies() {
+    let csv = stdout(&ocdd(&["dataset", "hepatitis", "--rows", "40"]));
+    let dir = std::env::temp_dir().join("ocdd_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("modes.csv");
+    std::fs::write(&path, csv).unwrap();
+    let path = path.to_str().unwrap();
+    // Everything but the trailing `-- N checks, <elapsed>, ...` line.
+    let report = |args: &[&str]| -> String {
+        let out = ocdd(args);
+        assert!(out.status.success(), "{args:?}");
+        let text = stdout(&out);
+        let body: Vec<&str> = text.lines().filter(|l| !l.starts_with("-- ")).collect();
+        body.join("\n")
+    };
+    let reference = report(&["profile", path]);
+    assert!(reference.contains("ocd"), "got: {reference}");
+    for args in [
+        ["profile", path, "--threads", "1", "--mode", "static"],
+        ["profile", path, "--threads", "3", "--mode", "static"],
+        ["profile", path, "--threads", "1", "--mode", "steal"],
+        ["profile", path, "--threads", "3", "--mode", "steal"],
+    ] {
+        assert_eq!(reference, report(&args), "{args:?}");
+    }
+}

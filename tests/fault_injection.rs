@@ -162,9 +162,9 @@ fn workstealing_branch_panic_is_quarantined() {
 }
 
 /// A cache under a permanent eviction storm is a pure performance
-/// degradation: results are identical to the fault-free run. Covers both
-/// the lock-striped (`StaticQueues`) and epoch-published (`WorkStealing`)
-/// shared-cache designs.
+/// degradation: results are identical to the fault-free run. Every mode
+/// shares the epoch-published cache, so the storm covers it under both
+/// parallel deals (`StaticQueues`, `WorkStealing`).
 #[test]
 fn eviction_storm_is_result_neutral() {
     let rel = Dataset::Hepatitis.generate(RowScale::Rows(120));
@@ -189,6 +189,9 @@ fn eviction_storm_is_result_neutral() {
         assert_eq!(clean.ods, stormy.ods, "{mode:?}");
         assert_eq!(clean.checks, stormy.checks, "{mode:?}");
         assert_eq!(stormy.termination, TerminationReason::Complete, "{mode:?}");
+        let cache = stormy.cache.expect("shared cache stats");
+        assert_eq!(cache.entries, 0, "{mode:?}: every published insert dropped");
+        assert!(cache.evictions > 0, "{mode:?}: drops count as evictions");
     }
 }
 

@@ -4,7 +4,33 @@
 //! performance knobs.
 
 use ocddiscover::datasets::{Dataset, RowScale};
-use ocddiscover::{discover, CheckerBackend, DiscoveryConfig, ParallelMode, TerminationReason};
+use ocddiscover::{
+    discover, CheckerBackend, DiscoveryConfig, DiscoveryResult, ParallelMode, TerminationReason,
+};
+
+/// The scheduler stats a run must report: none for `Sequential`; for
+/// `StaticQueues(k)` one entry per worker, every batch run once, and no
+/// steal (a branch's batches never leave its worker).
+fn assert_scheduler_contract(run: &DiscoveryResult, mode: ParallelMode, tag: &str) {
+    match mode {
+        ParallelMode::Sequential => assert!(run.scheduler.is_none(), "{tag}: no scheduler"),
+        ParallelMode::StaticQueues(k) | ParallelMode::WorkStealing(k) => {
+            let sched = run
+                .scheduler
+                .as_ref()
+                .expect("parallel runs report a scheduler");
+            assert_eq!(sched.workers.len(), k, "{tag}: one entry per worker");
+            assert_eq!(
+                sched.workers.iter().map(|w| w.batches).sum::<u64>(),
+                sched.batches,
+                "{tag}: every batch executed exactly once"
+            );
+            if matches!(mode, ParallelMode::StaticQueues(_)) {
+                assert_eq!(sched.steals(), 0, "{tag}: static queues never steal");
+            }
+        }
+    }
+}
 
 fn assert_same_results(ds: Dataset, rows: usize) {
     let rel = ds.generate(RowScale::Rows(rows));
@@ -17,7 +43,6 @@ fn assert_same_results(ds: Dataset, rows: usize) {
     for mode in [
         ParallelMode::StaticQueues(2),
         ParallelMode::StaticQueues(7),
-        ParallelMode::Rayon(3),
         ParallelMode::WorkStealing(1),
         ParallelMode::WorkStealing(4),
     ] {
@@ -44,6 +69,8 @@ fn assert_same_results(ds: Dataset, rows: usize) {
             "{}: same generation count",
             ds.name()
         );
+        assert_eq!(seq.levels, par.levels, "{}: level stats", ds.name());
+        assert_scheduler_contract(&par, mode, ds.name());
     }
 }
 
@@ -77,7 +104,6 @@ fn full_mode_backend_cache_matrix_is_deterministic() {
     for mode in [
         ParallelMode::Sequential,
         ParallelMode::StaticQueues(4),
-        ParallelMode::Rayon(4),
         ParallelMode::WorkStealing(4),
     ] {
         for backend in [
@@ -112,11 +138,7 @@ fn full_mode_backend_cache_matrix_is_deterministic() {
                     shared_cache && backend != CheckerBackend::Resort,
                     "{tag}: cache stats presence"
                 );
-                assert_eq!(
-                    run.scheduler.is_some(),
-                    matches!(mode, ParallelMode::WorkStealing(_)),
-                    "{tag}: scheduler stats presence"
-                );
+                assert_scheduler_contract(&run, mode, &tag);
             }
         }
     }
@@ -131,9 +153,12 @@ fn tiny_shared_cache_budget_matches_baseline() {
         CheckerBackend::PrefixCache,
         CheckerBackend::SortedPartitions,
     ] {
-        // Both shared-cache designs: lock-striped (StaticQueues) and
-        // epoch-published (WorkStealing).
-        for mode in [ParallelMode::StaticQueues(3), ParallelMode::WorkStealing(3)] {
+        // The epoch-published cache under every deal.
+        for mode in [
+            ParallelMode::Sequential,
+            ParallelMode::StaticQueues(3),
+            ParallelMode::WorkStealing(3),
+        ] {
             let run = discover(
                 &rel,
                 &DiscoveryConfig {
@@ -177,7 +202,6 @@ fn mid_level_check_budget_truncates_identically_across_modes() {
     for mode in [
         ParallelMode::StaticQueues(2),
         ParallelMode::StaticQueues(5),
-        ParallelMode::Rayon(3),
         ParallelMode::WorkStealing(1),
         ParallelMode::WorkStealing(4),
     ] {
@@ -194,6 +218,8 @@ fn mid_level_check_budget_truncates_identically_across_modes() {
         assert_eq!(seq.ods, par.ods, "partial ODs differ under {mode:?}");
         assert_eq!(seq.checks, par.checks, "{mode:?}: same truncation point");
         assert_eq!(seq.candidates_generated, par.candidates_generated);
+        assert_eq!(seq.levels, par.levels, "{mode:?}: partial level stats");
+        assert_scheduler_contract(&par, mode, &format!("{mode:?}"));
     }
 }
 
@@ -320,7 +346,7 @@ fn resume_from_every_level_boundary_matches_uninterrupted() {
         let snap = read_snapshot(dump).expect("read dump");
         for mode in [
             ParallelMode::Sequential,
-            ParallelMode::Rayon(3),
+            ParallelMode::StaticQueues(3),
             ParallelMode::WorkStealing(4),
         ] {
             for shared_cache in [false, true] {

@@ -133,7 +133,7 @@ proptest! {
         let mut json0: Option<String> = None;
         for mode in [
             ParallelMode::Sequential,
-            ParallelMode::Rayon(2),
+            ParallelMode::StaticQueues(2),
             ParallelMode::WorkStealing(3),
         ] {
             let cfg = ApproxConfig {
@@ -176,7 +176,7 @@ proptest! {
             ..ApproxConfig::default()
         };
         let seq = discover_approximate_with(&rel, &cfg(ParallelMode::Sequential));
-        for mode in [ParallelMode::Rayon(2), ParallelMode::WorkStealing(3)] {
+        for mode in [ParallelMode::StaticQueues(2), ParallelMode::WorkStealing(3)] {
             let par = discover_approximate_with(&rel, &cfg(mode));
             prop_assert_eq!(&seq.ocds, &par.ocds, "mode {:?}", mode);
             prop_assert_eq!(&seq.ods, &par.ods, "mode {:?}", mode);
@@ -191,7 +191,7 @@ proptest! {
 
     /// Differential under a random `max_checks` budget: the deterministic
     /// per-branch allowances make the truncated partial results identical
-    /// between `Sequential` and `WorkStealing(n)` too.
+    /// between `Sequential` and both `WorkStealing(n)` and `StaticQueues(n)`.
     #[test]
     fn workstealing_budget_partials_equal_sequential(
         rel in small_relation(4, 12),
@@ -200,14 +200,13 @@ proptest! {
     ) {
         let base = DiscoveryConfig { max_checks: Some(cap), ..DiscoveryConfig::default() };
         let seq = discover(&rel, &base);
-        let ws = discover(&rel, &DiscoveryConfig {
-            mode: ParallelMode::WorkStealing(workers),
-            ..base
-        });
-        prop_assert_eq!(&seq.ocds, &ws.ocds);
-        prop_assert_eq!(&seq.ods, &ws.ods);
-        prop_assert_eq!(seq.checks, ws.checks);
-        prop_assert_eq!(&seq.termination, &ws.termination);
+        for mode in [ParallelMode::WorkStealing(workers), ParallelMode::StaticQueues(workers)] {
+            let par = discover(&rel, &DiscoveryConfig { mode, ..base.clone() });
+            prop_assert_eq!(&seq.ocds, &par.ocds, "{:?}", mode);
+            prop_assert_eq!(&seq.ods, &par.ods, "{:?}", mode);
+            prop_assert_eq!(seq.checks, par.checks, "{:?}", mode);
+            prop_assert_eq!(&seq.termination, &par.termination, "{:?}", mode);
+        }
     }
 
     /// Theorem 4.1 as a data property: `XY → YX` valid iff `YX → XY` valid.
