@@ -5,6 +5,14 @@
 //! sorts first, always gets code 0 when present). Order comparisons between
 //! two cells of the same column then reduce to integer comparisons, which is
 //! what makes the candidate checker's inner loop cheap.
+//!
+//! There is one rank encoder, `Column::from_ids`: it takes each row's id
+//! into a list of *d* distinct values, sorts only those values and
+//! rewrites the ids into ranks in place, in O(m + d log d). The CSV
+//! loader interns tokens into such ids; [`Column::encode`] numbers the
+//! rows themselves. Row ids are `u32`, so a column holds at most
+//! `u32::MAX` rows; entry points check that and return
+//! [`crate::Error::TooManyRows`] before encoding.
 
 use crate::datatype::{infer_type, DataType};
 use crate::value::Value;
@@ -37,6 +45,11 @@ impl CodeWidth {
             CodeWidth::U32 => "u32",
         }
     }
+}
+
+/// Whether `m` rows fit the `u32` row ids every column encodes with.
+pub(crate) fn row_ids_fit(m: usize) -> bool {
+    u32::try_from(m).is_ok()
 }
 
 /// Width-adaptive mirror of a column's rank codes (see [`CodeWidth`]).
@@ -118,45 +131,74 @@ impl Column {
     ///
     /// The caller is responsible for having homogenized the values first
     /// (see [`crate::datatype::homogenize`]); encoding sorts whatever total
-    /// order the values currently have.
-    // lint: allow(panic-reachability, order is a permutation of 0..values.len(), so every order-derived index is in bounds)
+    /// order the values currently have. Among equal values (`Int(2)` and
+    /// `Float(2.0)`) the dictionary keeps the first row's.
+    ///
+    /// # Panics
+    /// If `values` holds more than `u32::MAX` rows (the row-id contract).
     pub fn encode(name: impl Into<String>, values: Vec<Value>) -> Column {
-        let data_type = infer_type(values.iter());
-        let has_nulls = values.iter().any(Value::is_null);
+        let ids = (0u32..).zip(&values).map(|(id, _)| id).collect();
+        Column::from_ids(name, ids, values)
+    }
 
-        // Row ids are u32 across the whole pipeline; encode is where a
-        // column's rows first get ids, so the bound is enforced here.
-        let m = values.len();
+    /// Rank-encode a column given as per-row ids into `distinct`: row `r`
+    /// holds `distinct[ids[r]]`, and every entry of `distinct` is used by
+    /// at least one row.
+    ///
+    /// Sorts the *d* distinct values, merges equal neighbours and rewrites
+    /// `ids` into rank codes in place, moving each kept value into the
+    /// dictionary. Equal values share one rank, and the dictionary keeps
+    /// the one with the smallest id. O(m + d log d).
+    ///
+    /// # Panics
+    /// If `ids` has more than `u32::MAX` rows: row ids are `u32` across
+    /// the whole pipeline, and this is where a column's rows get them.
+    /// Callers check [`row_ids_fit`] and return
+    /// [`crate::Error::TooManyRows`] first.
+    // lint: allow(panic-reachability, rank_of has one slot per distinct value: the pairs carry their own enumeration and the caller contract keeps every row id below d)
+    pub(crate) fn from_ids(
+        name: impl Into<String>,
+        mut ids: Vec<u32>,
+        distinct: Vec<Value>,
+    ) -> Column {
+        let m = ids.len();
         assert!(
-            m <= u32::MAX as usize,
+            row_ids_fit(m),
             "row ids are u32: {m} rows exceed the supported maximum"
         );
-        // Sort indices by value to assign dense ranks in O(m log m).
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_unstable_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
+        debug_assert!(distinct.len() <= m, "every distinct value has a row");
+        let data_type = infer_type(distinct.iter());
+        let has_nulls = distinct.iter().any(Value::is_null);
 
-        let mut codes = vec![0u32; values.len()];
-        let mut dictionary = Vec::new();
+        // Sort (value, id) pairs: values sit next to their ids, so no
+        // comparison goes back through `distinct`, and equal values come
+        // in increasing id order.
+        let mut keyed: Vec<(Value, u32)> = distinct.into_iter().zip(0u32..).collect();
+        keyed.sort_unstable();
+        let mut rank_of = vec![0u32; keyed.len()];
+        let mut dictionary: Vec<Value> = Vec::new();
         let mut rank = 0u32;
-        for (pos, &row) in order.iter().enumerate() {
-            let v = &values[row as usize];
-            if pos == 0 {
-                dictionary.push(v.clone());
-            } else {
-                let prev = &values[order[pos - 1] as usize];
-                if v != prev {
-                    // lint: allow(overflow-prone-arith, rank increments at most once per row and m <= u32::MAX by the encode assert)
+        for (v, id) in keyed {
+            match dictionary.last() {
+                Some(prev) if *prev == v => {}
+                Some(_) => {
+                    // lint: allow(overflow-prone-arith, rank increments at most once per distinct value and d <= m <= u32::MAX by the row-id assert)
                     rank += 1;
-                    dictionary.push(v.clone());
+                    dictionary.push(v);
                 }
+                None => dictionary.push(v),
             }
-            codes[row as usize] = rank;
+            // lint: allow(lossy-cast, id is the u32 the pair was numbered with, so it widens losslessly)
+            rank_of[id as usize] = rank;
+        }
+        for id in &mut ids {
+            *id = rank_of[*id as usize];
         }
 
         let distinct = dictionary.len();
-        let narrow = NarrowCodes::build(&codes, distinct);
+        let narrow = NarrowCodes::build(&ids, distinct);
         Column {
-            codes,
+            codes: ids,
             dictionary,
             narrow,
             meta: ColumnMeta {
@@ -207,7 +249,6 @@ impl Column {
 
     /// Decode the value of row `row`.
     #[inline]
-    // lint: allow(panic-reachability, row contract: callers pass row < len(); codes index the dictionary by construction of encode)
     pub fn value(&self, row: usize) -> &Value {
         &self.dictionary[self.codes[row] as usize]
     }
@@ -318,6 +359,67 @@ mod tests {
         col.widen_code_width(CodeWidth::U32);
         assert_eq!(col.code_width(), CodeWidth::U32);
         assert_eq!(col.narrow, NarrowCodes::U32);
+    }
+
+    #[test]
+    fn from_ids_ranks_the_distinct_values_and_rewrites_ids() {
+        // Rows hold 20, 30, 10, 30, 20.
+        let col = Column::from_ids("a", vec![2, 0, 1, 0, 2], ints(&[30, 10, 20]));
+        assert_eq!(col.codes, vec![1, 2, 0, 2, 1]);
+        assert_eq!(col.dictionary, ints(&[10, 20, 30]));
+        assert_eq!(col.meta.distinct, 3);
+    }
+
+    #[test]
+    fn equal_values_share_a_rank_and_keep_the_smallest_id() {
+        let distinct = vec![
+            Value::Float(2.5),
+            Value::Float(2.0),
+            Value::Null,
+            Value::Int(2),
+            Value::Null,
+        ];
+        let col = Column::from_ids("a", vec![0, 1, 2, 3, 4], distinct);
+        assert_eq!(col.codes, vec![2, 1, 0, 1, 0]);
+        assert_eq!(col.meta.distinct, 3);
+        assert!(
+            matches!(col.dictionary[1], Value::Float(_)),
+            "id 1 came first"
+        );
+        let col = Column::encode("a", vec![Value::Int(7), Value::Float(7.0)]);
+        assert!(matches!(col.dictionary[0], Value::Int(7)));
+    }
+
+    #[test]
+    fn integers_beyond_2_pow_53_keep_distinct_ranks() {
+        let big = 9_007_199_254_740_992i64;
+        let col = Column::encode("a", ints(&[big + 1, big, big + 1]));
+        assert_eq!(col.codes, vec![1, 0, 1]);
+        // Next to a float, too.
+        let mut vals = ints(&[big + 1, big]);
+        vals.push(Value::Float(0.5));
+        let col = Column::encode("a", vals);
+        assert_eq!(col.codes, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn mixed_ints_and_strings_rank_numbers_first() {
+        let vals = vec![
+            Value::Str("10".into()),
+            Value::Int(10),
+            Value::Str("9".into()),
+            Value::Null,
+            Value::Int(9),
+        ];
+        let col = Column::encode("m", vals);
+        assert_eq!(col.codes, vec![3, 2, 4, 0, 1]);
+    }
+
+    #[test]
+    fn row_ids_fit_u32() {
+        assert!(row_ids_fit(0));
+        assert!(row_ids_fit(u32::MAX as usize));
+        assert!(!row_ids_fit(u32::MAX as usize + 1));
     }
 
     #[test]

@@ -76,7 +76,20 @@ pub fn infer_type<'a>(values: impl IntoIterator<Item = &'a Value>) -> DataType {
 /// their string form so the whole column orders lexicographically (this is
 /// what a relational system with a `VARCHAR` column would do). Under
 /// [`TypingMode::ForceLexicographic`] every non-NULL value becomes a string.
+///
+/// Values have no source text, so a number becomes its `Display` form;
+/// the CSV loader, which has the tokens, keeps each token as written.
 pub fn homogenize(values: &mut [Value], mode: TypingMode) {
+    homogenize_with(values, mode, |_, v| v.to_string());
+}
+
+/// [`homogenize`], with `text(i, v)` giving the string that the numeric
+/// value `v` at index `i` becomes in a `Str` column.
+pub(crate) fn homogenize_with(
+    values: &mut [Value],
+    mode: TypingMode,
+    mut text: impl FnMut(usize, &Value) -> String,
+) {
     let target = match mode {
         TypingMode::ForceLexicographic => DataType::Str,
         TypingMode::Infer => infer_type(values.iter()),
@@ -84,12 +97,9 @@ pub fn homogenize(values: &mut [Value], mode: TypingMode) {
     if target != DataType::Str {
         return; // Int/Float mix orders numerically already.
     }
-    for v in values.iter_mut() {
-        match v {
-            Value::Int(_) | Value::Float(_) => {
-                *v = Value::Str(v.to_string());
-            }
-            _ => {}
+    for (i, v) in values.iter_mut().enumerate() {
+        if matches!(v, Value::Int(_) | Value::Float(_)) {
+            *v = Value::Str(text(i, v));
         }
     }
 }

@@ -21,9 +21,17 @@ pub enum Error {
         /// Number of columns in the relation.
         len: usize,
     },
+    /// More rows than the `u32` row ids every column encodes with
+    /// (`u32::MAX` at most).
+    TooManyRows {
+        /// Rows counted when the limit was crossed (the input may hold
+        /// more).
+        rows: usize,
+    },
     /// Malformed CSV input.
     Csv {
-        /// 1-based line number of the offending record.
+        /// 1-based physical line: where the offending record starts for a
+        /// ragged record, where the quote error was found otherwise.
         line: usize,
         /// Human-readable description.
         message: String,
@@ -48,6 +56,11 @@ impl fmt::Display for Error {
                     "column index {index} out of range for relation with {len} columns"
                 )
             }
+            Error::TooManyRows { rows } => write!(
+                f,
+                "{rows} rows exceed the u32 row-id limit of {} rows",
+                u32::MAX
+            ),
             Error::Csv { line, message } => write!(f, "CSV error at line {line}: {message}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),
         }
@@ -90,6 +103,11 @@ mod tests {
 
         let e = Error::ColumnOutOfRange { index: 9, len: 4 };
         assert!(e.to_string().contains("9"));
+
+        let e = Error::TooManyRows {
+            rows: 4_294_967_296,
+        };
+        assert!(e.to_string().contains("4294967296"));
 
         let e = Error::Csv {
             line: 17,

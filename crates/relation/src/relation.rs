@@ -1,6 +1,6 @@
 //! The [`Relation`] type: an immutable, rank-encoded, column-major table.
 
-use crate::column::{CodeWidth, Column, ColumnMeta, NarrowCodes};
+use crate::column::{row_ids_fit, CodeWidth, Column, ColumnMeta, NarrowCodes};
 use crate::datatype::{homogenize, TypingMode};
 use crate::error::{Error, Result};
 use crate::value::Value;
@@ -23,7 +23,8 @@ impl Relation {
     /// Build a relation from named value columns, homogenizing each column
     /// under the given [`TypingMode`] before rank encoding.
     ///
-    /// All columns must have the same length.
+    /// All columns must have the same length, of at most `u32::MAX` rows
+    /// ([`Error::TooManyRows`] otherwise).
     pub fn from_columns_typed(
         named: Vec<(String, Vec<Value>)>,
         mode: TypingMode,
@@ -37,6 +38,9 @@ impl Relation {
                 });
             }
         }
+        if !row_ids_fit(num_rows) {
+            return Err(Error::TooManyRows { rows: num_rows });
+        }
         let columns = named
             .into_iter()
             .map(|(name, mut vals)| {
@@ -45,6 +49,12 @@ impl Relation {
             })
             .collect();
         Ok(Relation { columns, num_rows })
+    }
+
+    /// A relation over already-encoded columns of `num_rows` rows each.
+    pub(crate) fn from_encoded(columns: Vec<Column>, num_rows: usize) -> Relation {
+        debug_assert!(columns.iter().all(|c| c.len() == num_rows));
+        Relation { columns, num_rows }
     }
 
     /// [`Relation::from_columns_typed`] with the default [`TypingMode::Infer`].
@@ -115,7 +125,6 @@ impl Relation {
 
     /// Decode the original value of cell `(row, col)`.
     #[inline]
-    // lint: allow(panic-reachability, ColumnId contract: callers pass col < num_columns())
     pub fn value(&self, row: usize, col: ColumnId) -> &Value {
         self.columns[col].value(row)
     }
@@ -167,8 +176,9 @@ impl Relation {
     /// ids, in the given order; ids past the last row are skipped).
     /// Columns are re-encoded so ranks stay dense over the selected
     /// subset — the invariant every checker and the manifest hash rely
-    /// on. This is the row-map materialization primitive of
+    /// on; only the distinct values the selection uses are ranked. This is the row-map materialization primitive of
     /// [`crate::sample`].
+    // lint: allow(panic-reachability, keep holds rows < num_rows, and every code indexes the dictionary and id_of, which has one slot per dictionary entry)
     pub fn select_rows(&self, rows: &[u32]) -> Relation {
         let keep: Vec<usize> = rows
             .iter()
@@ -179,8 +189,23 @@ impl Relation {
             .columns
             .iter()
             .map(|c| {
-                let vals: Vec<Value> = keep.iter().map(|&r| c.value(r).clone()).collect();
-                Column::encode(c.meta.name.clone(), vals)
+                // Number the parent codes the selection uses in first-seen
+                // order; only those dictionary values are cloned and ranked.
+                let mut id_of: Vec<Option<u32>> = vec![None; c.dictionary.len()];
+                let mut distinct = Vec::new();
+                let ids = keep
+                    .iter()
+                    .map(|&r| {
+                        let code = c.codes[r] as usize;
+                        *id_of[code].get_or_insert_with(|| {
+                            // lint: allow(lossy-cast, one id per distinct parent code, and a parent column has at most u32::MAX codes)
+                            let id = distinct.len() as u32;
+                            distinct.push(c.dictionary[code].clone());
+                            id
+                        })
+                    })
+                    .collect();
+                Column::from_ids(c.meta.name.clone(), ids, distinct)
             })
             .collect();
         Relation {

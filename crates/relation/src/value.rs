@@ -45,16 +45,6 @@ impl Value {
         }
     }
 
-    /// Numeric view of an `Int` or `Float` value.
-    #[inline]
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// Parse a raw text token into a value, trying `Int`, then `Float`,
     /// then falling back to `Str`. `null_tokens` (e.g. `""`, `"?"`,
     /// `"NULL"`) map to [`Value::Null`]. Float NaN parses to NULL to keep
@@ -97,16 +87,37 @@ impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Int(a), Value::Float(b)) => cmp_int_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => cmp_int_float(*b, *a).reverse(),
+            // Stored floats are never NaN, so partial_cmp cannot fail.
+            // lint: allow(no-panic, proven invariant: Value construction rejects NaN, so partial_cmp of stored floats is total)
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b).expect("no NaN stored in Value"),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                // Both numeric: natural numeric order. Stored floats are
-                // never NaN, so partial_cmp cannot fail.
-                // lint: allow(no-panic, proven invariant: Value construction rejects NaN, so partial_cmp of stored floats is total)
-                (Some(x), Some(y)) => x.partial_cmp(&y).expect("no NaN stored in Value"),
-                _ => a.type_rank().cmp(&b.type_rank()),
-            },
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
         }
     }
+}
+
+/// 2^63, the smallest float above every `i64`; `-TWO_POW_63` is `i64::MIN`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Exact order of an integer against a (non-NaN) float: integral part
+/// first, then the fraction. Going through `f64` instead would merge
+/// distinct integers above 2^53.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    // lint: allow(lossy-cast, whole is integral and within [-2^63, 2^63) by the two guards above, so the cast is exact)
+    let whole_int = whole as i64;
+    // `f - whole` is exact: the fraction keeps the sign of `f`.
+    i.cmp(&whole_int)
+        .then_with(|| 0.0f64.partial_cmp(&(f - whole)).unwrap_or(Ordering::Equal))
 }
 
 impl std::hash::Hash for Value {
@@ -120,7 +131,7 @@ impl std::hash::Hash for Value {
             Value::Float(f) => {
                 // Hash consistent with Ord/Eq: an integral float hashes like
                 // the equal Int (Int(2) == Float(2.0) under our Ord).
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+                if f.fract() == 0.0 && *f >= -TWO_POW_63 && *f < TWO_POW_63 {
                     1u8.hash(state);
                     // lint: allow(lossy-cast, the branch guard pins f to an integral value within [i64::MIN, i64::MAX])
                     (*f as i64).hash(state);
@@ -199,6 +210,59 @@ mod tests {
     fn mixed_int_float_compare_numerically() {
         assert_eq!(Value::Int(2).cmp(&Value::Float(2.0)), Ordering::Equal);
         assert!(Value::Float(1.999) < Value::Int(2));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_stay_distinct() {
+        let (a, b) = (
+            Value::Int(9_007_199_254_740_993),
+            Value::Int(9_007_199_254_740_992),
+        );
+        assert!(
+            b < a,
+            "2^53 + 1 and 2^53 share one f64 but are distinct integers"
+        );
+        assert!(Value::Int(i64::MAX - 1) < Value::Int(i64::MAX));
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact() {
+        let two_53 = 9_007_199_254_740_992i64;
+        // 2^53 + 1 is not a float: it lies strictly between two of them.
+        assert!(Value::Float(two_53 as f64) < Value::Int(two_53 + 1));
+        assert!(Value::Int(two_53 + 1) < Value::Float((two_53 + 2) as f64));
+        assert_eq!(Value::Int(two_53), Value::Float(two_53 as f64));
+        // i64::MAX rounds up to 2^63 as a float, which is above every i64.
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Float(-9.3e18) < Value::Int(i64::MIN));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
+        assert!(Value::Float(f64::NEG_INFINITY) < Value::Int(i64::MIN));
+        // The fraction decides between equal integral parts, either sign.
+        assert!(Value::Int(-3) < Value::Float(-2.5));
+        assert!(Value::Float(-2.5) < Value::Int(-2));
+        assert_eq!(Value::Int(0), Value::Float(-0.0));
+        assert!(Value::Null < Value::Float(-0.5));
+    }
+
+    #[test]
+    fn hash_consistent_with_eq_at_the_i64_edges() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let h = |v: &Value| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        for (i, f) in [
+            (i64::MIN, i64::MIN as f64),
+            (0, -0.0),
+            (1 << 60, (1i64 << 60) as f64),
+        ] {
+            assert_eq!(Value::Int(i), Value::Float(f));
+            assert_eq!(h(&Value::Int(i)), h(&Value::Float(f)));
+        }
+        assert_eq!(h(&Value::Float(0.0)), h(&Value::Float(-0.0)));
     }
 
     #[test]
